@@ -733,7 +733,7 @@ let stall () =
       Rpki_sim.Loop.section6_scenario ~mirrored:true ~rrdp:true ~validity ~refresh_interval ()
     in
     let sim = sc.Rpki_sim.Loop.sim in
-    Rpki_sim.Loop.set_fetch_policy sim policy;
+    sim.Rpki_sim.Loop.fetch_policy <- policy;
     let plan =
       if intensity = 0 then None
       else Some (Stall.plan_against ~victim:sc.Rpki_sim.Loop.model.Model.continental ~intensity)
@@ -1005,7 +1005,7 @@ let transparency () =
 let restart () =
   header "Restart: durable state x disk faults x rollback adversary";
   let ticks = if !quick then 9 else 12 in
-  let revoke_at = 3 and capture_at = 2 and kill_after = 5 in
+  let module Rr = Rpki_sim.Timeline.Rollback_restart in
   let restarts = if !quick then [ 6 ] else [ 6; 8 ] in
   let faults =
     if !quick then [ None; Some (Rpki_persist.Disk.Bit_flip 12345) ]
@@ -1017,32 +1017,8 @@ let restart () =
   let target_prefix = V4.p "63.174.25.0/24" in
   let run_cell ~persist ~fault ~restart_at =
     let rig = Rpki_sim.Loop.restart_scenario ~persist ~grace:0 ~monitors:2 ~gossip_period:1 () in
-    let sv = rig.Rpki_sim.Loop.rr_sv in
-    let sim = sv.Rpki_sim.Loop.sv_sim in
-    let model = sv.Rpki_sim.Loop.sv_model in
-    let atk = Rollback.plan ~authority:model.Model.continental in
-    let serial_at_kill = ref 0 in
-    let recovery = ref None in
-    for now = 1 to ticks do
-      if now = revoke_at then
-        Authority.revoke_roa model.Model.continental ~filename:model.Model.roa_cb_25 ~now;
-      (* arm the one-shot disk fault so it fires on the victim's *last*
-         pre-crash snapshot write (the primary saves first each tick) *)
-      if now = kill_after then
-        Option.iter (Rpki_persist.Disk.inject rig.Rpki_sim.Loop.rr_disk) fault;
-      if now = restart_at then
-        recovery :=
-          Some
-            (Rpki_sim.Loop.restart_vantage sim ~name:victim ~now
-               ~make:rig.Rpki_sim.Loop.rr_respawn);
-      ignore (Rpki_sim.Loop.step sim ~now);
-      if now = capture_at then Rollback.capture atk ~now;
-      if now = kill_after then begin
-        serial_at_kill := Rpki_rtr.Session.cache_serial (Rpki_sim.Loop.rtr_cache sim);
-        Rpki_sim.Loop.kill_vantage sim ~name:victim;
-        Rollback.apply atk (Rpki_sim.Loop.transport sim)
-      end
-    done;
+    let sim = rig.Rpki_sim.Loop.rr_sv.Rpki_sim.Loop.sv_sim in
+    let out = Rr.run ?fault ~restart_at ~ticks rig in
     let history = Rpki_sim.Loop.history sim in
     let detect = Rpki_sim.Loop.first_rollback_tick sim in
     let local_detect =
@@ -1094,8 +1070,8 @@ let restart () =
         Rpki_persist.Store.snapshot_bytes (Rpki_sim.Loop.vantage_store sim ~name:victim)
       else 0
     in
-    ( Option.get !recovery, detect, local_detect, gossip_rollback, log_resets,
-      router_visible, victim_believes, restart_diff, !serial_at_kill, serial_after,
+    ( out.Rr.recovery, detect, local_detect, gossip_rollback, log_resets,
+      router_visible, victim_believes, restart_diff, out.Rr.serial_at_kill, serial_after,
       final_holds, snapshot_bytes )
   in
   let fault_name = function
@@ -1150,7 +1126,7 @@ let restart () =
      detects it: the victim's restored log (serial regression) or the monitors'\n\
      memory of its serial line (gossip Rollback).  Every injected disk fault must\n\
      degrade to an explicit Recovered_fresh state, never a silent trust.\n"
-    capture_at revoke_at Model.as_continental;
+    Rr.capture_at Rr.revoke_at Model.as_continental;
   (* the headline asymmetry this PR exists to measure — fail loudly (and
      fail `dune runtest`) if it ever stops holding *)
   List.iter
@@ -1182,7 +1158,7 @@ let restart () =
     (Printf.sprintf
        "{\"experiment\":\"restart\",\"ticks\":%d,\"capture_at\":%d,\"revoke_at\":%d,\
         \"killed_after\":%d,\"cells\":[%s]}"
-       ticks capture_at revoke_at kill_after
+       ticks Rr.capture_at Rr.revoke_at Rr.kill_after
        (String.concat ","
           (List.map
              (fun (persist, fault, restart_at,
@@ -1227,6 +1203,19 @@ let restart () =
    stealthy fork at t3) run twice, cache on and off.  The cache must be
    invisible: same per-tick VRP counts, probe results, serials and diffs,
    same fork detection tick, and byte-identical exported fork evidence. *)
+(* The first fork alarm's portable DER evidence bundle; "" when the loop has
+   no mesh, raised no fork, or the export failed. *)
+let first_fork_evidence sim =
+  match Rpki_sim.Loop.gossip_mesh sim with
+  | None -> ""
+  | Some g -> (
+    match Gossip.forks g with
+    | [] -> ""
+    | alarm :: _ -> (
+      match Evidence.export ~key_of:(Gossip.key_of g) alarm with
+      | Ok bytes -> bytes
+      | Error _ -> ""))
+
 let multivantage () =
   header "Multi-vantage: shared validation plane (vantages x cache)";
   let ticks = if !quick then 4 else 6 in
@@ -1327,24 +1316,7 @@ let multivantage () =
         (fun acc (r : Rpki_sim.Loop.tick_record) -> acc + r.Rpki_sim.Loop.sig_checks)
         0 (Rpki_sim.Loop.history sim)
     in
-    let evidence =
-      match Rpki_sim.Loop.gossip_mesh sim with
-      | None -> ""
-      | Some g -> (
-        match Gossip.forks g with
-        | [] -> ""
-        | alarm :: _ -> (
-          let key_of name =
-            List.find_map
-              (fun (v : Gossip.vantage) ->
-                if String.equal v.Gossip.v_name name then
-                  Some (Relying_party.transparency_key v.Gossip.v_rp)
-                else None)
-              (Gossip.vantages g)
-          in
-          match Evidence.export ~key_of alarm with Ok bytes -> bytes | Error _ -> ""))
-    in
-    (Rpki_sim.Loop.first_fork_tick sim, trace, evidence, checks)
+    (Rpki_sim.Loop.first_fork_tick sim, trace, first_fork_evidence sim, checks)
   in
   let fork_off, trace_off, evidence_off, checks_off = detection_run ~cache:false in
   let fork_on, trace_on, evidence_on, checks_on = detection_run ~cache:true in
@@ -1641,25 +1613,9 @@ let soak_split_view_trace ~endurance =
 
 let soak_restart_trace ~endurance =
   let rig = Rpki_sim.Loop.restart_scenario ~persist:true ~grace:0 ~monitors:2 ~gossip_period:1 () in
-  let sv = rig.Rpki_sim.Loop.rr_sv in
-  let sim = sv.Rpki_sim.Loop.sv_sim in
-  let model = sv.Rpki_sim.Loop.sv_model in
+  let sim = rig.Rpki_sim.Loop.rr_sv.Rpki_sim.Loop.sv_sim in
   set_endurance sim ~on:endurance;
-  let atk = Rollback.plan ~authority:model.Model.continental in
-  for now = 1 to 12 do
-    if now = 3 then
-      Authority.revoke_roa model.Model.continental ~filename:model.Model.roa_cb_25 ~now;
-    if now = 6 then
-      ignore
-        (Rpki_sim.Loop.restart_vantage sim ~name:"victim-rp" ~now
-           ~make:rig.Rpki_sim.Loop.rr_respawn);
-    ignore (Rpki_sim.Loop.step sim ~now);
-    if now = 2 then Rollback.capture atk ~now;
-    if now = 5 then begin
-      Rpki_sim.Loop.kill_vantage sim ~name:"victim-rp";
-      Rollback.apply atk (Rpki_sim.Loop.transport sim)
-    end
-  done;
+  ignore (Rpki_sim.Timeline.Rollback_restart.run ~restart_at:6 ~ticks:12 rig);
   detection_trace (Rpki_sim.Loop.history sim)
 
 let soak () =
@@ -1881,23 +1837,7 @@ let scale () =
     let avg_tick = List.fold_left ( +. ) 0. tick_ms /. float_of_int ticks in
     let max_tick = List.fold_left Float.max 0. tick_ms in
     let fork = Rpki_sim.Loop.first_fork_tick sim in
-    let evidence =
-      match Rpki_sim.Loop.gossip_mesh sim with
-      | None -> ""
-      | Some gm -> (
-        match Gossip.forks gm with
-        | [] -> ""
-        | alarm :: _ -> (
-          let key_of name =
-            List.find_map
-              (fun (v : Gossip.vantage) ->
-                if String.equal v.Gossip.v_name name then
-                  Some (Relying_party.transparency_key v.Gossip.v_rp)
-                else None)
-              (Gossip.vantages gm)
-          in
-          match Evidence.export ~key_of alarm with Ok bytes -> bytes | Error _ -> ""))
-    in
+    let evidence = first_fork_evidence sim in
     (* the acceptance bar: degree-placed monitors must catch the fork at
        every size, with exportable proof *)
     (match fork with
@@ -2260,11 +2200,6 @@ type gossip_cell = {
 let gossip () =
   header "Gossip at scale: overlays, round caching, Byzantine equivocators";
   let ticks = 6 and attack_at = 3 in
-  let rec take k = function
-    | [] -> []
-    | _ when k <= 0 -> []
-    | x :: tl -> x :: take (k - 1) tl
-  in
   let overlay_label = Gossip.Overlay.to_string in
   let fork_delta = function None -> "-" | Some tk -> string_of_int (tk - attack_at) in
   (* --- arm 1: overlay x n on the canned scenario ------------------- *)
@@ -2276,11 +2211,26 @@ let gossip () =
       [ Gossip.Overlay.Full_mesh; Gossip.Overlay.K_regular 2; Gossip.Overlay.K_regular 4;
         Gossip.Overlay.Star 3; Gossip.Overlay.Random_peers 3 ]
   in
-  let cell_of_reports ~n ~overlay reports ~cold_ms ~warm_ms fork =
-    let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
+  (* One overlay cell: the loop's own gossip is pushed past the horizon and
+     every tick's round is run (and timed) here instead, after the step.
+     Round 1 pays the one-time lazy keygen for every vantage's log — the
+     same n signatures under any overlay — so it is reported apart from the
+     warm rounds the steady-state claim is about. *)
+  let run_cell ~n ~overlay sim atk =
+    let g = Option.get (Rpki_sim.Loop.gossip_mesh sim) in
+    let reports = ref [] and cold = ref 0. and warm = ref 0. and fork = ref None in
+    for now = 1 to ticks do
+      if now = attack_at then Split_view.apply atk (Rpki_sim.Loop.transport sim);
+      ignore (Rpki_sim.Loop.step sim ~now);
+      let rep, ms = time_ms (fun () -> Gossip.round g ~now) in
+      if now = 1 then cold := ms else warm := !warm +. ms;
+      if !fork = None && List.exists Gossip.is_fork rep.Gossip.r_alarms then fork := Some now;
+      reports := rep :: !reports
+    done;
+    let sum f = List.fold_left (fun acc r -> acc + f r) 0 !reports in
     { gc_n = n; gc_overlay = overlay;
-      gc_pulls = (match List.rev reports with last :: _ -> last.Gossip.r_pulls | [] -> 0);
-      gc_cold_ms = cold_ms; gc_ms = warm_ms; gc_fork = fork;
+      gc_pulls = (match !reports with last :: _ -> last.Gossip.r_pulls | [] -> 0);
+      gc_cold_ms = !cold; gc_ms = !warm; gc_fork = !fork;
       gc_verifies = sum (fun r -> r.Gossip.r_verifies);
       gc_verifies_saved = sum (fun r -> r.Gossip.r_verifies_saved);
       gc_proofs_built = sum (fun r -> r.Gossip.r_proofs_built);
@@ -2292,25 +2242,9 @@ let gossip () =
       Rpki_sim.Loop.split_view_scenario ~monitors:(n - 1) ~gossip_period:(ticks + 1)
         ~overlay ()
     in
-    let sim = sv.Rpki_sim.Loop.sv_sim in
-    let g = Option.get (Rpki_sim.Loop.gossip_mesh sim) in
-    let atk =
-      Split_view.plan ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
-        ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ~stealth:Split_view.Stealthy ()
-    in
-    (* round 1 pays the one-time lazy keygen for every vantage's log — the
-       same n signatures under any overlay — so it is reported apart from
-       the warm rounds the steady-state claim is about *)
-    let reports = ref [] and cold = ref 0. and warm = ref 0. and fork = ref None in
-    for now = 1 to ticks do
-      if now = attack_at then Split_view.apply atk (Rpki_sim.Loop.transport sim);
-      ignore (Rpki_sim.Loop.step sim ~now);
-      let rep, ms = time_ms (fun () -> Gossip.round g ~now) in
-      if now = 1 then cold := ms else warm := !warm +. ms;
-      if !fork = None && List.exists Gossip.is_fork rep.Gossip.r_alarms then fork := Some now;
-      reports := rep :: !reports
-    done;
-    cell_of_reports ~n ~overlay (List.rev !reports) ~cold_ms:!cold ~warm_ms:!warm !fork
+    run_cell ~n ~overlay sv.Rpki_sim.Loop.sv_sim
+      (Split_view.plan ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
+         ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ~stealth:Split_view.Stealthy ())
   in
   let grid =
     List.concat_map
@@ -2418,60 +2352,16 @@ let gossip () =
      detection reduces to honest adjacency — the threshold under test. *)
   let byz_attack_at = 1 in
   let run_byz_cell ~overlay ~f =
+    let module Eq = Rpki_sim.Timeline.Equivocation in
     let sv =
       Rpki_sim.Loop.split_view_scenario ~monitors:(byz_n - 1) ~gossip_period:1 ~overlay ()
     in
-    let sim = sv.Rpki_sim.Loop.sv_sim in
-    let model = sv.Rpki_sim.Loop.sv_model in
-    let g = Option.get (Rpki_sim.Loop.gossip_mesh sim) in
     (* one fixed shuffle, first f: the Byzantine sets are nested, so the
        sweep reads as a threshold *)
-    let byz =
-      take f (Rpki_util.Rng.shuffle (Rpki_util.Rng.create 0xb12a) sv.Rpki_sim.Loop.sv_monitors)
-    in
-    let atk =
-      Split_view.plan ~authority:model.Model.continental
-        ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ~stealth:Split_view.Stealthy ()
-    in
-    let eqs =
-      List.map
-        (fun name ->
-          let v = Rpki_sim.Loop.vantage sim ~name in
-          let shadow =
-            Model.relying_party ~name ~asn:(Relying_party.asn v.Gossip.v_rp) model
-          in
-          let eq =
-            Equivocator.plan ~universe:model.Model.universe ~name ~shadow
-              ~fork_to:(fun r -> String.equal r "victim-rp") ()
-          in
-          Equivocator.apply eq g;
-          eq)
-        byz
-    in
-    for now = 1 to byz_ticks do
-      if now = byz_attack_at then begin
-        (* the victim's view forks — and every shadow forks with it, so the
-           logs served to the victim keep mirroring what the victim sees *)
-        Split_view.apply atk (Rpki_sim.Loop.transport sim);
-        List.iter (fun eq -> Split_view.apply atk (Equivocator.shadow_transport eq)) eqs
-      end;
-      ignore (Rpki_sim.Loop.step sim ~now)
-    done;
-    let detected = Rpki_sim.Loop.first_fork_tick sim in
-    let names = List.map (fun (v : Gossip.vantage) -> v.Gossip.v_name) (Gossip.vantages g) in
-    let honest_edge (a, b) =
-      let honest x = not (List.mem x byz) in
-      (String.equal a "victim-rp" && honest b && not (String.equal b "victim-rp"))
-      || (String.equal b "victim-rp" && honest a && not (String.equal a "victim-rp"))
-    in
-    let honest_adjacent =
-      List.exists
-        (fun now ->
-          List.exists honest_edge
-            (Gossip.Overlay.pulls overlay ~seed:Gossip.Overlay.default_seed ~round:now names))
-        (List.init (byz_ticks - byz_attack_at + 1) (fun i -> byz_attack_at + i))
-    in
-    (f, overlay, byz, detected, honest_adjacent)
+    let byz = Eq.choose sv ~f in
+    let out = Eq.run ~byzantine:byz ~attack_at:byz_attack_at ~ticks:byz_ticks sv in
+    ( f, overlay, byz, Rpki_sim.Loop.first_fork_tick sv.Rpki_sim.Loop.sv_sim,
+      out.Eq.honest_adjacent )
   in
   let byz_cells =
     List.concat_map
@@ -2529,24 +2419,9 @@ let gossip () =
           let rig =
             Rpki_sim.Loop.world_scenario ~monitors ~gossip_period:(ticks + 1) ~overlay ()
           in
-          let sim = rig.Rpki_sim.Loop.wr_sim in
-          let g = Option.get (Rpki_sim.Loop.gossip_mesh sim) in
-          let atk =
-            Split_view.plan ~authority:rig.Rpki_sim.Loop.wr_target_authority
-              ~target_filename:rig.Rpki_sim.Loop.wr_target_filename ()
-          in
-          let reports = ref [] and cold = ref 0. and warm = ref 0. and fork = ref None in
-          for now = 1 to ticks do
-            if now = attack_at then Split_view.apply atk (Rpki_sim.Loop.transport sim);
-            ignore (Rpki_sim.Loop.step sim ~now);
-            let rep, ms = time_ms (fun () -> Gossip.round g ~now) in
-            if now = 1 then cold := ms else warm := !warm +. ms;
-            if !fork = None && List.exists Gossip.is_fork rep.Gossip.r_alarms then
-              fork := Some now;
-            reports := rep :: !reports
-          done;
-          cell_of_reports ~n:(monitors + 1) ~overlay (List.rev !reports) ~cold_ms:!cold
-            ~warm_ms:!warm !fork)
+          run_cell ~n:(monitors + 1) ~overlay rig.Rpki_sim.Loop.wr_sim
+            (Split_view.plan ~authority:rig.Rpki_sim.Loop.wr_target_authority
+               ~target_filename:rig.Rpki_sim.Loop.wr_target_filename ()))
         [ Gossip.Overlay.Full_mesh; Gossip.Overlay.K_regular 4 ]
     end
   in

@@ -2,11 +2,10 @@
 
    With no arguments, every experiment runs (the tables/figures of the
    paper) followed by the Bechamel microbenchmark suite.  Individual
-   experiments can be selected by id: fig2 fig3 tab4 fig5 tab6 se5 se6 se7
-   campaign adoption depth sync-incremental stall transparency perf.
-   `--quick` shrinks every experiment to a smoke pass; `--json` additionally
-   writes BENCH_<name>.json for experiments that support it (stall,
-   transparency, perf). *)
+   experiments can be selected by id: any id in [Experiments.all], or
+   perf.  `--quick` shrinks every experiment to a smoke pass; `--json`
+   additionally writes BENCH_<name>.json for every experiment that calls
+   [Experiments.write_json]. *)
 
 open Bechamel
 open Toolkit

@@ -307,6 +307,14 @@ let create ?(timeout = 32) ?(overlay = Overlay.Full_mesh)
 
 let vantages t = t.vantages
 let overlay t = t.overlay
+let overlay_seed t = t.overlay_seed
+
+let key_of t name =
+  List.find_map
+    (fun v ->
+      if String.equal v.v_name name then Some (Relying_party.transparency_key v.v_rp)
+      else None)
+    t.vantages
 let alarms t = List.rev t.alarm_log
 let forks t = List.filter is_fork (alarms t)
 let rollbacks t = List.filter is_rollback (alarms t)

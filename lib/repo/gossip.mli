@@ -229,6 +229,13 @@ val vantages : t -> vantage list
 
 val overlay : t -> Overlay.spec
 
+val overlay_seed : t -> int
+
+val key_of : t -> string -> Rsa.public option
+(** The named vantage's transparency-log key — the [key_of] that
+    {!verify_fork} and {!Evidence.export} take.  [None] for a name the
+    mesh does not hold. *)
+
 val set_server :
   t -> name:string -> ?refresh:(now:Rtime.t -> unit) ->
   (receiver:string -> Relying_party.t) -> unit

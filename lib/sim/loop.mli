@@ -48,7 +48,6 @@ type t = {
   mutable stores : (string * Rpki_persist.Store.t) list;
   mutable dead : string list;
   mutable epochs : (string * int) list;
-  mutable recoveries : (Rtime.t * string * Relying_party.recovery) list;
   mutable point_good : (string * Vrp.t list) list;
   mutable held_uris : (string * Rpki_ip.V4.Prefix.t list) list;
   mutable valcache : Valcache.t option;
@@ -114,66 +113,17 @@ val create :
 
 (** {2 Configuration}
 
-    Everything that used to be scattered over mutators and enable-flags
-    ([set_fetch_policy] / [set_per_hop_latency] / [set_valcache] /
-    [primary_vantage] / [register_vantage] / [enable_gossip] /
-    [enable_persistence]) collapsed into one record: build a {!Config.t}
-    from {!Config.default}, apply it once with {!configure}.  The
-    individual functions remain as thin deprecated wrappers so existing
-    callers keep compiling. *)
-
-module Config : sig
-  type vantage_spec = {
-    name : string;
-    rp : Relying_party.t;
-    endpoint : Pub_point.t;  (** where peers pull this vantage's log from *)
-  }
-
-  type t = {
-    fetch_policy : Relying_party.fetch_policy;
-        (** default {!Relying_party.default_policy} *)
-    per_hop_latency : int;   (** transport ticks per forwarding hop; default 1 *)
-    valcache : bool;         (** shared validation plane; default [true] *)
-    valcache_evict : bool;   (** epoch-based eviction at tick end; default
-                                 [true].  Pure memo — results identical off *)
-    rtr_domains : int;       (** Domains for the RTR flush fan-out; default 1 *)
-    primary_endpoint : Pub_point.t option;
-        (** register the loop's own RP as a gossip vantage at this endpoint *)
-    vantages : vantage_spec list;  (** extra vantages, in registration order *)
-    gossip_period : int option;
-        (** [Some p] freezes the vantages into a gossip mesh, one round every
-            [p] ticks; [None] (default) = no gossip *)
-    gossip_timeout : int option;   (** per-pull cap, see {!Gossip.create} *)
-    gossip_overlay : Gossip.Overlay.spec;
-        (** who pulls from whom each round; default
-            {!Gossip.Overlay.spec.Full_mesh} *)
-    gossip_overlay_seed : int;     (** default {!Gossip.Overlay.default_seed} *)
-    persistence : Rpki_persist.Disk.t option;
-        (** [Some disk] snapshots every live vantage each tick *)
-    compact_every : int;     (** fold persistence chains every this many
-                                 ticks; 0 (default) = never *)
-    save_full : bool;        (** force O(history) full snapshots; default
-                                 [false] (O(delta) segmented saves) *)
-    keep_history : bool;     (** accumulate tick records; default [true] *)
-  }
-
-  val default : t
-  (** No vantages, no gossip, no persistence; resilient defaults otherwise
-      (default fetch policy, 1 tick/hop, valcache on, 1 Domain). *)
-end
-
-val configure : t -> Config.t -> unit
-(** Apply a configuration to a freshly {!create}d loop: policy knobs first,
-    then the primary endpoint and extra vantages, then gossip and
-    persistence.  Raises [Invalid_argument] under the same conditions as
-    the individual wrappers (duplicate vantage names, gossip already
-    enabled). *)
+    There is one way to configure a loop: the scenario builders' labelled
+    arguments set it up (vantages, gossip mesh, persistence), and the
+    mutable fields of {!t} above tune a built loop directly — for example
+    [sim.fetch_policy <- p] or [sim.compact_every <- 64].  A field set
+    between ticks takes effect on the next {!step}. *)
 
 val rtr_server : t -> Rpki_rtr.Server.t
 (** The RTR serving plane fed by the loop: attach router sessions with
     {!Rpki_rtr.Server.attach}; every {!step} ends with one batched
     {!Rpki_rtr.Server.flush} (publish + any holds coalesce into a single
-    notify), run on {!Config.rtr_domains} Domains. *)
+    notify), run on [rtr_domains] Domains. *)
 
 val rtr_cache : t -> Rpki_rtr.Session.cache
 (** The serving plane's underlying cache; single-router code can still
@@ -188,31 +138,9 @@ val transport : t -> Transport.t
     route).  Adversaries ({!Rpki_attack.Stall}) and operators inject
     faults here. *)
 
-val set_fetch_policy : t -> Relying_party.fetch_policy -> unit
-(** Replace the fetch policy used by subsequent {!step}s
-    (default {!Relying_party.default_policy}).  Deprecated wrapper:
-    prefer {!Config.fetch_policy}. *)
-
-val set_per_hop_latency : t -> int -> unit
-(** Transport ticks charged per forwarding hop (default 1; clamped at 0).
-    0 restores PR-1's boolean-reachability behaviour exactly. *)
-
-val set_valcache : t -> bool -> unit
-(** Enable (default) or disable the shared validation plane.  Enabling
-    mid-run starts from an empty cache; either way every sync result,
-    detection tick and piece of evidence is identical — the cache is
-    transparent, only the number of RSA verifications executed changes.
-    Deprecated wrapper: prefer {!Config.valcache}. *)
-
 val valcache : t -> Valcache.t option
 (** The loop's shared validation plane, for statistics
     ({!Valcache.stats} / {!Valcache.tick_stats}). *)
-
-val valcache_enabled : t -> bool
-
-val point_reachable : t -> Pub_point.t -> bool
-(** Reachability of a publication point from the RP's AS, judged on the data
-    plane of the previous tick (everything is reachable before the first). *)
 
 val step : t -> now:Rtime.t -> tick_record
 (** One tick: refresh mirrors, sync the RP over the previous data plane
@@ -227,23 +155,11 @@ val pp_record : Format.formatter -> tick_record -> unit
     A loop can run additional relying-party {e vantages} alongside its
     primary RP: each extra vantage syncs the same universe every tick over
     its own transport, priced off the same previous-tick data plane but
-    from its own AS.  Once vantages are registered, {!enable_gossip} builds
-    a {!Gossip} mesh over them; every [period] ticks a gossip round runs
+    from its own AS.  The scenario builders register the vantages and build
+    a {!Gossip} mesh over them; every [gossip_period] ticks a round runs
     {e after} routing converges (so a partitioned vantage also cannot
     gossip) and its report — including any split-view {!Gossip.alarm.Fork}
     alarms — lands on that tick's record. *)
-
-val primary_vantage : t -> endpoint:Pub_point.t -> unit
-(** Register the loop's own relying party (under its RP name) as a gossip
-    vantage reachable at [endpoint].  The endpoint's address must be
-    routable for peers to pull from it.  Deprecated wrapper: prefer
-    {!Config.primary_endpoint}. *)
-
-val register_vantage : t -> name:string -> rp:Relying_party.t -> endpoint:Pub_point.t -> unit
-(** Add an extra vantage.  [rp] is synced every subsequent {!step} over a
-    transport created here and priced from [rp]'s AS.  Raises
-    [Invalid_argument] on duplicate names or after {!enable_gossip}.
-    Deprecated wrapper: prefer {!Config.vantages}. *)
 
 val vantage_names : t -> string list
 
@@ -252,14 +168,6 @@ val vantage : t -> name:string -> Gossip.vantage
 val vantage_transport : t -> name:string -> Transport.t
 (** The named vantage's transport — where adversaries install per-vantage
     faults or {!Transport.set_view} forks. *)
-
-val enable_gossip :
-  ?period:int -> ?timeout:int -> ?overlay:Gossip.Overlay.spec ->
-  ?overlay_seed:int -> t -> unit
-(** Freeze the registered vantages into a gossip mesh; a round runs every
-    [period] ticks (default 1).  [timeout] caps each pull and [overlay]
-    selects who pulls from whom (see {!Gossip.create}).  Deprecated
-    wrapper: prefer {!Config.gossip_period}. *)
 
 val gossip_mesh : t -> Gossip.t option
 
@@ -276,7 +184,8 @@ val first_rollback_tick : t -> Rtime.t option
 
 (** {2 Persistence, crash and restart}
 
-    With {!enable_persistence}, every live vantage snapshots its durable
+    With a [disk] set (the scenario builders' [persist]), every live
+    vantage snapshots its durable
     state ({!Relying_party.save}) at the end of each tick, to a
     per-vantage generation-numbered store on a shared simulated disk —
     where experiments arm {!Rpki_persist.Disk.inject} faults.
@@ -290,11 +199,6 @@ val first_rollback_tick : t -> Rtime.t option
     verified gossip fork/rollback evidence — freeze the affected prefixes
     on the RTR cache ({!Rpki_rtr.Session.hold}) at the last VRPs validated
     before the contradiction was served. *)
-
-val enable_persistence : t -> Rpki_persist.Disk.t -> unit
-(** Snapshot every live vantage's durable state at the end of each tick
-    onto [disk] (one {!Rpki_persist.Store.t} per vantage, named after it).
-    Deprecated wrapper: prefer {!Config.persistence}. *)
 
 val persistence_enabled : t -> bool
 
@@ -323,13 +227,6 @@ val restart_vantage :
     from its persisted peer heads; otherwise its gossip memory starts
     empty (and peers will raise {!Gossip.alarm.Log_reset}).  Raises
     [Invalid_argument] unless the vantage is down. *)
-
-val recoveries : t -> (Rtime.t * string * Relying_party.recovery) list
-(** Every restart's outcome, oldest first. *)
-
-val release_hold : t -> uri:string -> unit
-(** Operator override: drop the evidence-triggered hold installed for a
-    publication point. *)
 
 (** {2 The canned Section 6 scenario} *)
 
@@ -408,7 +305,7 @@ val split_view_scenario :
     [refresh_interval] shortens every authority's re-issuance period (see
     {!Model.build}) so scaling runs can churn the universe every tick;
     [valcache] (default true) controls the loop's shared validation plane
-    ({!set_valcache}).
+    ([valcache = false] leaves the loop's [valcache] field [None]).
 
     The split-view whack itself is the caller's move:
     [Rpki_attack.Split_view.plan ~authority:sv_model.continental

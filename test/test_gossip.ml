@@ -136,17 +136,9 @@ let prop_observational seed =
   if mk <> rk then
     QCheck.Test.fail_reportf "k:2 fork keys differ from the mesh (seed %d)" seed;
   (* the sparse overlay's evidence is as portable as the mesh's *)
-  let key_of g name =
-    List.find_map
-      (fun (v : Gossip.vantage) ->
-        if String.equal v.Gossip.v_name name then
-          Some (Relying_party.transparency_key v.Gossip.v_rp)
-        else None)
-      (Gossip.vantages g)
-  in
   List.iter
     (fun a ->
-      if Gossip.is_fork a && not (Gossip.verify_fork ~key_of:(key_of ring) a) then
+      if Gossip.is_fork a && not (Gossip.verify_fork ~key_of:(Gossip.key_of ring) a) then
         QCheck.Test.fail_reportf "k:2 fork evidence failed re-verification (seed %d)" seed)
     (Gossip.alarms ring);
   true
@@ -157,36 +149,9 @@ let prop_observational seed =
    monitors turned Byzantine (mirroring shadows), under the given overlay. *)
 let run_byzantine ~overlay ~byz ~attack_at ~ticks =
   let sv = Loop.split_view_scenario ~monitors:3 ~gossip_period:1 ~overlay () in
+  let out = Timeline.Equivocation.run ~byzantine:(byz sv) ~attack_at ~ticks sv in
   let t = sv.Loop.sv_sim in
-  let model = sv.Loop.sv_model in
-  let g = Option.get (Loop.gossip_mesh t) in
-  let atk =
-    Rpki_attack.Split_view.plan ~authority:model.Model.continental
-      ~target_filename:sv.Loop.sv_target_filename ~stealth:Rpki_attack.Split_view.Stealthy ()
-  in
-  let eqs =
-    List.map
-      (fun name ->
-        let v = Loop.vantage t ~name in
-        let shadow = Model.relying_party ~name ~asn:(Relying_party.asn v.Gossip.v_rp) model in
-        let eq =
-          Rpki_attack.Equivocator.plan ~universe:model.Model.universe ~name ~shadow
-            ~fork_to:(fun r -> String.equal r "victim-rp") ()
-        in
-        Rpki_attack.Equivocator.apply eq g;
-        eq)
-      (byz sv)
-  in
-  for now = 1 to ticks do
-    if now = attack_at then begin
-      Rpki_attack.Split_view.apply atk (Loop.transport t);
-      List.iter
-        (fun eq -> Rpki_attack.Split_view.apply atk (Rpki_attack.Equivocator.shadow_transport eq))
-        eqs
-    end;
-    ignore (Loop.step t ~now)
-  done;
-  (t, g, eqs)
+  (t, Option.get (Loop.gossip_mesh t), out.Timeline.Equivocation.equivocators)
 
 let hub_of sv = [ List.nth sv.Loop.sv_monitors (List.length sv.Loop.sv_monitors - 1) ]
 

@@ -69,10 +69,7 @@ let test_detected_before_invalid () =
   (* the alarm's evidence stands on its own: re-verified from scratch
      against the vantages' public keys *)
   let g = Option.get (Loop.gossip_mesh t) in
-  let key_of name =
-    List.find_opt (fun (v : Gossip.vantage) -> String.equal v.Gossip.v_name name) (Gossip.vantages g)
-    |> Option.map (fun (v : Gossip.vantage) -> Relying_party.transparency_key v.Gossip.v_rp)
-  in
+  let key_of = Gossip.key_of g in
   let forks = Gossip.forks g in
   Alcotest.(check bool) "at least one fork alarm" true (forks <> []);
   List.iter
