@@ -5,26 +5,87 @@
    route") and where the paper's reachability questions (Table 6, Section 6)
    are answered. *)
 
+open Rpki_core
 open Rpki_ip
+
+(* What one prefix's propagation is seeded with: each announcement paired
+   with the validity its route classifies to, in announcement order. *)
+type seed = Propagation.announcement * Origin_validation.state
+
+(* Everything a prefix's RIB is a pure function of, besides its seeds: the
+   adjacency (topology object and version) and the per-AS policy, in
+   ascending ASN order. *)
+type key = {
+  k_version : int;
+  k_policy : Policy.t array;
+  k_seeds : seed list list; (* parallel to [ribs] *)
+}
 
 type network = {
   topo : Topology.t;
   ribs : (V4.Prefix.t * Propagation.rib) list; (* one rib per announced prefix *)
+  recomputed : int;
+  key : key;
 }
 
-(* Compute RIBs for every distinct announced prefix. *)
-let build ~topo ~policy_of ~validity_of (anns : Propagation.announcement list) =
-  let prefixes =
-    List.sort_uniq V4.Prefix.compare (List.map (fun a -> a.Propagation.prefix) anns)
+let seed_equal ((a, v) : seed) ((b, w) : seed) =
+  V4.Prefix.equal a.Propagation.prefix b.Propagation.prefix
+  && Int.equal a.Propagation.origin b.Propagation.origin
+  && Origin_validation.equal_state v w
+
+(* The announcements grouped by prefix, prefixes ascending, each group in
+   announcement order (the order [Propagation.compute] seeds in). *)
+let group_by_prefix (anns : Propagation.announcement list) =
+  let sorted =
+    List.stable_sort
+      (fun a b -> V4.Prefix.compare a.Propagation.prefix b.Propagation.prefix)
+      anns
   in
-  let ribs =
+  List.fold_right
+    (fun a groups ->
+      match groups with
+      | (p, group) :: rest when V4.Prefix.equal p a.Propagation.prefix ->
+        (p, a :: group) :: rest
+      | _ -> (a.Propagation.prefix, [ a ]) :: groups)
+    sorted []
+
+(* Compute RIBs for every distinct announced prefix, reusing [prev]'s RIB
+   for a prefix whose key is unchanged. *)
+let build ?prev ~topo ~policy_of ~validity_of (anns : Propagation.announcement list) =
+  let k_version = Topology.version topo in
+  let k_policy = Array.of_list (List.map policy_of (Topology.asns topo)) in
+  (* prefix -> the previous build's (seeds, rib), when its adjacency and
+     policy match this build's; otherwise nothing is reusable *)
+  let reusable = Hashtbl.create 64 in
+  (match prev with
+  | Some p when p.topo == topo && p.key.k_version = k_version && p.key.k_policy = k_policy ->
+    List.iter2
+      (fun (prefix, rib) seeds -> Hashtbl.replace reusable prefix (seeds, rib))
+      p.ribs p.key.k_seeds
+  | _ -> ());
+  let recomputed = ref 0 in
+  let built =
     List.map
-      (fun prefix ->
-        let relevant = List.filter (fun a -> V4.Prefix.equal a.Propagation.prefix prefix) anns in
-        (prefix, Propagation.compute ~topo ~policy_of ~validity_of relevant))
-      prefixes
+      (fun (prefix, group) ->
+        let seeds =
+          List.map
+            (fun a -> (a, validity_of (Route.make a.Propagation.prefix a.Propagation.origin)))
+            group
+        in
+        let rib =
+          match Hashtbl.find_opt reusable prefix with
+          | Some (old, rib) when List.equal seed_equal old seeds -> rib
+          | _ ->
+            incr recomputed;
+            Propagation.compute ~topo ~policy_of ~validity_of group
+        in
+        (prefix, seeds, rib))
+      (group_by_prefix anns)
   in
-  { topo; ribs }
+  { topo;
+    ribs = List.map (fun (prefix, _, rib) -> (prefix, rib)) built;
+    recomputed = !recomputed;
+    key = { k_version; k_policy; k_seeds = List.map (fun (_, seeds, _) -> seeds) built } }
 
 (* The forwarding decision of [asn] for destination [addr]: the entry of the
    longest prefix covering [addr] for which the AS holds a route. *)

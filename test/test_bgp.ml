@@ -173,6 +173,141 @@ let test_no_route () =
   | Data_plane.No_route _ -> ()
   | _ -> Alcotest.fail "expected no route"
 
+(* --- incremental data plane --- *)
+
+(* Two networks agree: the same prefixes in the same order, equal per-AS
+   entries, and the same forwarding trace from every AS to each prefix's
+   first address. *)
+let equal_networks (a : Data_plane.network) (b : Data_plane.network) =
+  let asns = Topology.asns a.Data_plane.topo in
+  List.equal V4.Prefix.equal (List.map fst a.Data_plane.ribs) (List.map fst b.Data_plane.ribs)
+  && List.for_all2
+       (fun (_, ra) (_, rb) ->
+         Hashtbl.length ra = Hashtbl.length rb
+         && List.for_all (fun asn -> Propagation.route ra asn = Propagation.route rb asn) asns)
+       a.Data_plane.ribs b.Data_plane.ribs
+  && List.for_all
+       (fun (p, _) ->
+         let addr = V4.Prefix.first p in
+         List.for_all
+           (fun src -> Data_plane.trace a ~src ~addr = Data_plane.trace b ~src ~addr)
+           asns)
+       a.Data_plane.ribs
+
+(* A random chain of builds on a small generated topology, each handed the
+   previous network as [prev]; every step must equal the from-scratch
+   build.  The steps flip route validities, add hijack and subprefix
+   announcements or withdraw one, switch policies, grow the topology
+   (a version bump) and swap in a fresh topology object.  The work counter
+   is bounded too: a flip or an announcement change recomputes at most the
+   prefixes it touched, a new topology recomputes every prefix and a step
+   that changes nothing recomputes none. *)
+let incremental_invariant seed =
+  let rng = Random.State.make [| seed |] in
+  let spec = { Topo_gen.default_spec with Topo_gen.tier1 = 3; tier2 = 6; stubs = 20; seed } in
+  let g = Topo_gen.generate spec in
+  let topo = ref g.Topo_gen.topo in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let random_as () = pick (Topology.asns !topo) in
+  let states = [ Origin_validation.Valid; Origin_validation.Invalid; Origin_validation.Unknown ] in
+  let validity = Hashtbl.create 16 in
+  let validity_of (r : Route.t) =
+    Option.value ~default:Origin_validation.Unknown
+      (Hashtbl.find_opt validity (r.Route.prefix, r.Route.origin))
+  in
+  let policies = Hashtbl.create 16 in
+  let policy_of asn = Option.value ~default:Policy.Drop_invalid (Hashtbl.find_opt policies asn) in
+  let bases = List.init 4 (fun i -> V4.p (Printf.sprintf "10.%d.0.0/16" i)) in
+  let anns =
+    ref
+      (List.map
+         (fun prefix ->
+           let origin = pick g.Topo_gen.stub_asns in
+           Hashtbl.replace validity (prefix, origin) Origin_validation.Valid;
+           { Propagation.prefix; origin })
+         bases)
+  in
+  let build ?prev () = Data_plane.build ?prev ~topo:!topo ~policy_of ~validity_of !anns in
+  let prefix_count () =
+    List.length (List.sort_uniq V4.Prefix.compare (List.map (fun a -> a.Propagation.prefix) !anns))
+  in
+  let prev = ref (build ()) in
+  for step = 1 to 12 do
+    (* bounds on how many prefixes this step may recompute *)
+    let lo = ref 0 and hi = ref max_int in
+    (match Random.State.int rng 7 with
+    | 0 when !anns <> [] ->
+      let flips = 1 + Random.State.int rng 2 in
+      for _ = 1 to flips do
+        let a = pick !anns in
+        Hashtbl.replace validity (a.Propagation.prefix, a.Propagation.origin) (pick states)
+      done;
+      hi := flips
+    | 1 ->
+      let base = pick bases in
+      let prefix =
+        if Random.State.bool rng then base
+        else
+          Hijack.subprefix_containing ~victim_prefix:base
+            ~addr:(V4.Prefix.first base + (Random.State.int rng 256 lsl 8))
+            ~len:24
+      in
+      anns := !anns @ [ { Propagation.prefix; origin = random_as () } ];
+      lo := 1;
+      hi := 1
+    | 2 when !anns <> [] ->
+      let victim = pick !anns in
+      anns := List.filter (fun a -> a != victim) !anns;
+      hi := 1
+    | 3 ->
+      let p = pick Policy.all in
+      if Random.State.bool rng then
+        List.iter (fun asn -> Hashtbl.replace policies asn p) (Topology.asns !topo)
+      else Hashtbl.replace policies (random_as ()) p
+    | 4 ->
+      (* a version bump: a peering between two existing ASes, or a new stub *)
+      let a = random_as () and b = random_as () in
+      if a <> b && (not (List.mem_assoc b (Topology.neighbours !topo a)))
+         && Random.State.bool rng
+      then Topology.peer !topo a b
+      else begin
+        let asn = 4_000_000 + step in
+        Topology.add_as !topo asn;
+        Topology.link !topo ~provider:a ~customer:asn
+      end;
+      lo := max_int
+    | 5 ->
+      (* a structurally equal topology, but not the object [prev] was built on *)
+      let fresh = Topology.create () in
+      let asns = Topology.asns !topo in
+      List.iter (Topology.add_as fresh) asns;
+      List.iter
+        (fun a ->
+          List.iter
+            (fun c -> Topology.link fresh ~provider:a ~customer:c)
+            (Topology.customers !topo a);
+          List.iter (fun b -> if a < b then Topology.peer fresh a b) (Topology.peers !topo a))
+        asns;
+      topo := fresh;
+      lo := max_int
+    | _ -> hi := 0);
+    let inc = build ~prev:!prev () and scratch = build () in
+    if not (equal_networks inc scratch) then
+      QCheck.Test.fail_reportf "seed %d step %d: incremental build differs from scratch" seed step;
+    let n = prefix_count () and r = inc.Data_plane.recomputed in
+    if r < min !lo n || r > min !hi n then
+      QCheck.Test.fail_reportf "seed %d step %d: recomputed %d of %d prefixes, expected %d..%d"
+        seed step r n (min !lo n) (min !hi n);
+    prev := inc
+  done;
+  true
+
+let prop_incremental =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"incremental build == from-scratch build"
+       (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 10_000))
+       incremental_invariant)
+
 (* --- hijack helpers --- *)
 
 let test_hijack_validation () =
@@ -264,7 +399,8 @@ let () =
           Alcotest.test_case "depref picks valid" `Quick test_depref_prefers_valid ] );
       ( "data-plane",
         [ Alcotest.test_case "LPM forwarding" `Quick test_lpm_forwarding;
-          Alcotest.test_case "no route" `Quick test_no_route ] );
+          Alcotest.test_case "no route" `Quick test_no_route;
+          prop_incremental ] );
       ("hijack", [ Alcotest.test_case "validation" `Quick test_hijack_validation ]);
       ("topo-gen", [ Alcotest.test_case "generated topology" `Quick test_topo_gen ]);
       ("table-6", [ Alcotest.test_case "policy tradeoff" `Quick test_table6 ]) ]

@@ -12,6 +12,8 @@
    faulty-but-consistent transports (slow and stalling points) never
    raises a fork or consistency alarm over a full run. *)
 
+open Rpki_core
+open Rpki_bgp
 open Rpki_repo
 open Rpki_sim
 module Split_view = Rpki_attack.Split_view
@@ -327,6 +329,68 @@ let test_equivocating_head_raises_inconsistent_heads () =
       | _ -> ())
     (Gossip.alarms g)
 
+(* The data plane's work counter on a stealth split-view run.  Tick 1
+   computes every prefix's RIB; every later tick recomputes exactly the
+   prefixes with an announcement whose classification changed under the
+   routers' view (the RTR cache).  With gossip, the evidence hold freezes
+   that view, so the fork tick, the hold tick and every tick after recompute
+   nothing.  A single vantage lets grace expire: that tick recomputes the
+   victim's prefix, and only it. *)
+let recomputed_per_tick ~monitors =
+  let sv = Loop.split_view_scenario ~monitors ~grace:4 ~gossip_period:1 () in
+  let t = sv.Loop.sv_sim in
+  let classes () =
+    let idx =
+      Origin_validation.build
+        (Rpki_rtr.Session.cache_vrps (Rpki_rtr.Server.cache (Loop.rtr_server t)))
+    in
+    List.map
+      (fun (a : Propagation.announcement) ->
+        (a.Propagation.prefix,
+         Origin_validation.classify idx (Route.make a.Propagation.prefix a.Propagation.origin)))
+      t.Loop.announcements
+  in
+  let atk =
+    Split_view.plan ~authority:sv.Loop.sv_model.Model.continental
+      ~target_filename:sv.Loop.sv_target_filename ()
+  in
+  let before = ref [] and counts = ref [] in
+  for now = 1 to 10 do
+    if now = 3 then Split_view.apply atk (Loop.transport t);
+    ignore (Loop.step t ~now);
+    let after = classes () in
+    let changed =
+      if now = 1 then List.map fst after
+      else
+        List.filter_map
+          (fun ((p, s), (_, s')) -> if s = s' then None else Some p)
+          (List.combine !before after)
+    in
+    before := after;
+    let net = Option.get t.Loop.net in
+    counts :=
+      (now, net.Data_plane.recomputed, List.length (List.sort_uniq compare changed)) :: !counts
+  done;
+  List.rev !counts
+
+let test_recomputed_counts () =
+  let check ~monitors ~expect_change_at =
+    List.iter
+      (fun (now, recomputed, changed) ->
+        Alcotest.(check int)
+          (Printf.sprintf "monitors %d, t%d: recomputed = changed prefixes" monitors now)
+          changed recomputed;
+        Alcotest.(check bool)
+          (Printf.sprintf "monitors %d, t%d: recomputes iff t1 or t%d" monitors now
+             expect_change_at)
+          (now = 1 || now = expect_change_at) (recomputed > 0))
+      (recomputed_per_tick ~monitors)
+  in
+  (* held: the fork at t3 and its hold change no route's validity *)
+  check ~monitors:2 ~expect_change_at:0;
+  (* unheld: the suppressed VRP expires from grace at t7 *)
+  check ~monitors:0 ~expect_change_at:7
+
 let () =
   Alcotest.run "split-view"
     [ ("detection",
@@ -341,7 +405,9 @@ let () =
          Alcotest.test_case "gossip period trades detection latency" `Quick
            test_gossip_period_trades_latency;
          Alcotest.test_case "a late-proven fork rolls last-good back to honest state"
-           `Quick test_late_fork_rolls_back_last_good ]);
+           `Quick test_late_fork_rolls_back_last_good;
+         Alcotest.test_case "the data plane recomputes only changed prefixes" `Quick
+           test_recomputed_counts ]);
       ("equivocation",
        [ Alcotest.test_case "a same-size different-root head raises Inconsistent_heads"
            `Quick test_equivocating_head_raises_inconsistent_heads ]);
