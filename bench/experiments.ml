@@ -1016,9 +1016,9 @@ let restart () =
   let victim = "victim-rp" in
   let target_prefix = V4.p "63.174.25.0/24" in
   let run_cell ~persist ~fault ~restart_at =
-    let rig = Rpki_sim.Loop.restart_scenario ~persist ~grace:0 ~monitors:2 ~gossip_period:1 () in
-    let sim = rig.Rpki_sim.Loop.rr_sv.Rpki_sim.Loop.sv_sim in
-    let out = Rr.run ?fault ~restart_at ~ticks rig in
+    let sv = Rpki_sim.Loop.split_view_scenario ~persist ~grace:0 ~monitors:2 ~gossip_period:1 () in
+    let sim = sv.Rpki_sim.Loop.sv_sim in
+    let out = Rr.run ?fault ~restart_at ~ticks sv in
     let history = Rpki_sim.Loop.history sim in
     let detect = Rpki_sim.Loop.first_rollback_tick sim in
     let local_detect =
@@ -1044,7 +1044,8 @@ let restart () =
       List.exists (fun (v : Vrp.t) -> V4.Prefix.equal v.Vrp.prefix target_prefix) l
     in
     let router_visible =
-      vrp_present (Rpki_rtr.Session.cache_vrps (Rpki_sim.Loop.rtr_cache sim))
+      vrp_present
+        (Rpki_rtr.Session.cache_vrps (Rpki_rtr.Server.cache (Rpki_sim.Loop.rtr_server sim)))
     in
     let victim_believes = vrp_present (Relying_party.vrps sim.Rpki_sim.Loop.rp) in
     let restart_rec =
@@ -1597,8 +1598,9 @@ let set_endurance sim ~on =
   sim.Rpki_sim.Loop.save_full <- not on
 
 let soak_split_view_trace ~endurance =
-  let rig = Rpki_sim.Loop.restart_scenario ~persist:true ~grace:4 ~monitors:2 ~gossip_period:1 () in
-  let sv = rig.Rpki_sim.Loop.rr_sv in
+  let sv =
+    Rpki_sim.Loop.split_view_scenario ~persist:true ~grace:4 ~monitors:2 ~gossip_period:1 ()
+  in
   let sim = sv.Rpki_sim.Loop.sv_sim in
   set_endurance sim ~on:endurance;
   let atk =
@@ -1612,10 +1614,12 @@ let soak_split_view_trace ~endurance =
   detection_trace (Rpki_sim.Loop.history sim)
 
 let soak_restart_trace ~endurance =
-  let rig = Rpki_sim.Loop.restart_scenario ~persist:true ~grace:0 ~monitors:2 ~gossip_period:1 () in
-  let sim = rig.Rpki_sim.Loop.rr_sv.Rpki_sim.Loop.sv_sim in
+  let sv =
+    Rpki_sim.Loop.split_view_scenario ~persist:true ~grace:0 ~monitors:2 ~gossip_period:1 ()
+  in
+  let sim = sv.Rpki_sim.Loop.sv_sim in
   set_endurance sim ~on:endurance;
-  ignore (Rpki_sim.Timeline.Rollback_restart.run ~restart_at:6 ~ticks:12 rig);
+  ignore (Rpki_sim.Timeline.Rollback_restart.run ~restart_at:6 ~ticks:12 sv);
   detection_trace (Rpki_sim.Loop.history sim)
 
 let soak () =
@@ -1628,7 +1632,7 @@ let soak () =
   let full_ticks = if !quick then 400 else 1000 in
   let base_cfg =
     { Rpki_sim.Loop.default_soak with
-      Rpki_sim.Loop.sk_ticks = ticks; sk_churn_every = 6; sk_monitors = 1;
+      Rpki_sim.Loop.sk_ticks = ticks; sk_churn_every = 6;
       sk_compact_every = (if !quick then 64 else 256);
       sk_sample_every = max 1 (ticks / 10) }
   in
@@ -1690,7 +1694,7 @@ let soak () =
   let res_ticks = if !quick then 300 else 360 in
   let res_cfg =
     { Rpki_sim.Loop.default_soak with
-      Rpki_sim.Loop.sk_ticks = res_ticks; sk_churn_every = 1; sk_monitors = 1;
+      Rpki_sim.Loop.sk_ticks = res_ticks; sk_churn_every = 1;
       sk_validity = Some 48; sk_refresh_interval = Some 48;
       sk_sample_every = max 1 (res_ticks / 6) }
   in

@@ -51,14 +51,20 @@ let overlay_arg =
                  N-peer sample each round).")
 
 (* Bounded options: an out-of-range value is a usage error naming the
-   flag, not an exception from deep inside a scenario. *)
-let int_at_least lo =
+   flag and the bound it broke, not an exception from deep inside a
+   scenario. *)
+let int_at_least ?(at_most = max_int) lo =
   let parse s =
     match int_of_string_opt s with
+    | Some n when n > at_most ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer <= %d" s at_most))
     | Some n when n >= lo -> Ok n
     | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" s lo))
   in
   Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+
+(* the victim plus every monitor a split-view rig can place *)
+let max_vantages = Rpki_sim.Loop.max_monitors + 1
 
 let probability =
   let parse s =
@@ -334,8 +340,8 @@ let grid_cmd =
 
 let transparency_cmd =
   let monitors =
-    Arg.(value & opt (int_at_least 0) 2
-         & info [ "monitors" ] ~doc:"Monitor vantages besides the victim (0-3; 0 = no gossip).")
+    Arg.(value & opt (int_at_least ~at_most:Rpki_sim.Loop.max_monitors 0) 2
+         & info [ "monitors" ] ~doc:"Monitor vantages besides the victim (0 = no gossip).")
   in
   let period =
     Arg.(value & opt int 1 & info [ "period" ] ~doc:"Gossip period in ticks.")
@@ -350,7 +356,7 @@ let transparency_cmd =
              ~doc:"Overt fork (keep the honest manifest) instead of a stealthy re-signed one.")
   in
   let vantages =
-    Arg.(value & opt (some (int_at_least 1)) None
+    Arg.(value & opt (some (int_at_least ~at_most:max_vantages 1)) None
          & info [ "vantages" ] ~docv:"N"
              ~doc:"Total relying-party vantages (victim + N-1 monitors; monitors \
                    beyond the three named ones are synthesized).  Overrides \
@@ -422,7 +428,7 @@ let transparency_cmd =
 
 let gossip_cmd =
   let vantages =
-    Arg.(value & opt (int_at_least 2) 16
+    Arg.(value & opt (int_at_least ~at_most:max_vantages 2) 16
          & info [ "vantages" ] ~docv:"N"
              ~doc:"Total relying-party vantages (victim + N-1 monitors).")
   in
@@ -537,7 +543,7 @@ let restart_cmd =
                    re-verify it offline under its embedded keys.")
   in
   let vantages =
-    Arg.(value & opt (some (int_at_least 1)) None
+    Arg.(value & opt (some (int_at_least ~at_most:max_vantages 1)) None
          & info [ "vantages" ] ~docv:"N"
              ~doc:"Total relying-party vantages (victim + N-1 monitors; default 3).")
   in
@@ -566,11 +572,11 @@ let restart_cmd =
     | None ->
       let module Rr = Rpki_sim.Timeline.Rollback_restart in
       let monitors = match vantages with Some n -> n - 1 | None -> 2 in
-      let rig =
-        Rpki_sim.Loop.restart_scenario ~persist:(not no_persist) ~grace:0 ~monitors
+      let sv =
+        Rpki_sim.Loop.split_view_scenario ~persist:(not no_persist) ~grace:0 ~monitors
           ~valcache:(not no_valcache) ()
       in
-      let t = rig.Rpki_sim.Loop.rr_sv.Rpki_sim.Loop.sv_sim in
+      let t = sv.Rpki_sim.Loop.sv_sim in
       let observe = function
         | Rr.Revoked now ->
           Printf.printf "t%d: authority revokes ROA (63.174.25.0/24, AS %d)\n" now
@@ -585,7 +591,7 @@ let restart_cmd =
         | Rr.Killed (now, atk) ->
           Printf.printf "t%d: victim killed; %s\n" now (Rpki_attack.Rollback.describe atk)
       in
-      ignore (Rr.run ~observe ?fault ~restart_at ~ticks:(max 10 (restart_at + 3)) rig);
+      ignore (Rr.run ~observe ?fault ~restart_at ~ticks:(max 10 (restart_at + 3)) sv);
       print_endline "";
       (match Rpki_sim.Loop.first_rollback_tick t with
       | Some tk -> Printf.printf "rollback detected at t%d\n" tk
@@ -774,7 +780,7 @@ let scale_cmd =
          & info [ "attack-at" ]
              ~doc:"Tick at which the split-view fork is applied (0 = no attack).")
   in
-  let run ases seed monitors placement ticks attack_at =
+  let simulate ases seed monitors placement ticks attack_at =
     let module World = Rpki_world.Synthesis in
     let module Placement = Rpki_world.Placement in
     let module Loop = Rpki_sim.Loop in
@@ -815,11 +821,21 @@ let scale_cmd =
         (tk - attack_at)
     | true, None -> Printf.printf "\nfork NOT detected within %d ticks\n" ticks
   in
+  (* every monitor needs an AS of its own besides the victim RP's *)
+  let run ases seed monitors placement ticks attack_at =
+    if monitors >= ases then
+      `Error
+        ( true,
+          Printf.sprintf
+            "option '--monitors': invalid value '%d', expected an integer < --ases (%d)"
+            monitors ases )
+    else `Ok (simulate ases seed monitors placement ticks attack_at)
+  in
   Cmd.v
     (Cmd.info "scale"
        ~doc:"Generate an internet-scale AS topology, synthesize an RPKI universe \
              onto it, and re-run the split-view detection scenario on the result")
-    Term.(const run $ ases $ seed $ monitors $ placement $ ticks $ attack_at)
+    Term.(ret (const run $ ases $ seed $ monitors $ placement $ ticks $ attack_at))
 
 let () =
   let doc = "the misbehaving-RPKI-authorities toolkit (HotNets'13 reproduction)" in

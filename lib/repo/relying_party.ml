@@ -401,13 +401,8 @@ let backoff_delay policy ~uri ~attempt =
   if policy.backoff <= 0 then 0
   else (policy.backoff * (1 lsl min attempt 6)) + (Hashtbl.hash (uri, attempt) mod policy.backoff)
 
-let sync t ~now ~universe ?reachable ?transport ?(policy = default_policy) ?valcache () =
-  let transport =
-    match (transport, reachable) with
-    | Some tr, _ -> tr
-    | None, Some oracle -> Transport.of_oracle oracle
-    | None, None -> Transport.instant ()
-  in
+let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
+  let transport = match transport with Some tr -> tr | None -> Transport.instant () in
   let allow_stale = policy.use_stale && t.use_stale in
   let issues = ref [] in
   let vrps = ref [] in

@@ -325,7 +325,6 @@ val sync :
   t ->
   now:Rtime.t ->
   universe:Universe.t ->
-  ?reachable:(Pub_point.t -> bool) ->
   ?transport:Transport.t ->
   ?policy:fetch_policy ->
   ?valcache:Valcache.t ->
@@ -338,10 +337,7 @@ val sync :
     and the per-point transport accounting.
 
     Fetching goes through [transport] under [policy] (default
-    {!default_policy}).  When no [transport] is given one is built: from
-    [reachable] as a zero-latency {!Transport.of_oracle} when that is
-    supplied (the PR-1 behaviour, kept for compatibility), otherwise
-    {!Transport.instant}.  [reachable] is ignored when [transport] is
+    {!default_policy}), or {!Transport.instant} when no [transport] is
     given.
 
     [valcache], when given, attaches the shared cross-vantage validation

@@ -36,7 +36,6 @@ type t = {
   probes : probe list;
   transport : Transport.t;        (* priced off the previous tick's data plane *)
   mutable fetch_policy : Relying_party.fetch_policy;
-  mutable per_hop_latency : int;  (* transport ticks per forwarding hop *)
   mutable net : Data_plane.network option; (* data plane after the last tick *)
   mutable history : tick_record list;      (* newest first *)
   mutable vantages : Gossip.vantage list;  (* gossip mesh members, in
@@ -100,8 +99,8 @@ and tick_record = {
 }
 
 (* Latency of one request to a publication point, from the data plane the
-   previous tick produced: the forwarding path's hop count times the per-hop
-   cost — the Section 6 circularity as time, not just a boolean.  Traffic
+   previous tick produced: one transport tick per forwarding hop — the
+   Section 6 circularity as time, not just a boolean.  Traffic
    delivered to the wrong origin (a hijacker) is no route at all.  Before
    the first tick routing works and nothing has been priced yet. *)
 let latency_from t ~asn (pp : Pub_point.t) =
@@ -110,7 +109,7 @@ let latency_from t ~asn (pp : Pub_point.t) =
   | Some net -> (
     match Data_plane.trace net ~src:asn ~addr:(Pub_point.addr pp) with
     | Data_plane.Delivered { origin; hops } when origin = Pub_point.host_asn pp ->
-      Some (t.per_hop_latency * List.length hops)
+      Some (List.length hops)
     | Data_plane.Delivered _ | Data_plane.No_route _ | Data_plane.Loop _ -> None)
 
 let point_latency t pp = latency_from t ~asn:(Relying_party.asn t.rp) pp
@@ -120,7 +119,7 @@ let create ~universe ~topo ~policy ~rp ~announcements ~probes =
     { universe; topo; policy; rp; rtr = Rpki_rtr.Server.create (); rtr_domains = 1;
       announcements; probes;
       transport = Transport.create (); fetch_policy = Relying_party.default_policy;
-      per_hop_latency = 1; net = None; history = []; vantages = []; gossip = None;
+      net = None; history = []; vantages = []; gossip = None;
       gossip_period = 1; disk = None; stores = []; dead = []; epochs = [];
       point_good = []; held_uris = [];
       valcache = Some (Valcache.create ()); valcache_evict = true;
@@ -130,7 +129,6 @@ let create ~universe ~topo ~policy ~rp ~announcements ~probes =
   t
 
 let rtr_server t = t.rtr
-let rtr_cache t = Rpki_rtr.Server.cache t.rtr
 let transport t = t.transport
 let valcache t = t.valcache
 
@@ -144,7 +142,7 @@ let add_vantage t v =
 (* The scenario builders' one mesh set-up: register the primary at
    [endpoint], then each [(name, rp, endpoint)] monitor in order, then —
    when [gossip_period] is given — freeze them into a gossip mesh. *)
-let build_mesh t ~endpoint ~monitors ~gossip_period ~overlay ~overlay_seed =
+let build_mesh t ~endpoint ~monitors ~gossip_period ~overlay ?overlay_seed () =
   if Option.is_some t.gossip then invalid_arg "Loop.build_mesh: gossip already enabled";
   add_vantage t
     { Gossip.v_name = Relying_party.name t.rp; v_rp = t.rp; v_endpoint = endpoint;
@@ -160,7 +158,7 @@ let build_mesh t ~endpoint ~monitors ~gossip_period ~overlay ~overlay_seed =
     monitors;
   Option.iter
     (fun period ->
-      t.gossip <- Some (Gossip.create ~overlay ~overlay_seed t.vantages);
+      t.gossip <- Some (Gossip.create ~overlay ?overlay_seed t.vantages);
       t.gossip_period <- max 1 period)
     gossip_period
 
@@ -359,7 +357,8 @@ let step t ~now =
   List.iter (fun rg -> install_hold t ~uri:(regression_uri rg)) regressions;
   (* routers act on the RTR cache — the primary's feed with any holds
      applied — so the data plane is classified from the cache's view *)
-  let rtr_index = Origin_validation.build (Rpki_rtr.Session.cache_vrps (rtr_cache t)) in
+  let cache = Rpki_rtr.Server.cache t.rtr in
+  let rtr_index = Origin_validation.build (Rpki_rtr.Session.cache_vrps cache) in
   let validity_of r = Origin_validation.classify rtr_index r in
   (* a prefix whose announcements all kept their validity keeps the
      previous tick's RIB; only the others are re-propagated *)
@@ -401,17 +400,9 @@ let step t ~now =
   (* cross-vantage evidence (fork or served rollback) that re-verifies from
      scratch under the vantages' own keys also triggers a hold; it lands on
      the next tick's data plane, gossip having run after this one's *)
-  (match gossip_report with
-  | None -> ()
-  | Some rep ->
-    let key_of vname =
-      List.find_map
-        (fun v ->
-          if String.equal v.Gossip.v_name vname then
-            Some (Relying_party.transparency_key v.Gossip.v_rp)
-          else None)
-        t.vantages
-    in
+  (match (t.gossip, gossip_report) with
+  | None, _ | _, None -> ()
+  | Some g, Some rep ->
     (* the proven-honest side of an evidence bundle: for a fork involving
        the primary, the attested record from the *other* vantage; for a
        served rollback, the state recorded earlier under the higher
@@ -430,7 +421,7 @@ let step t ~now =
       (fun alarm ->
         match alarm with
         | Gossip.Fork { fork_uri = uri; _ } | Gossip.Rollback { rb_uri = uri; _ } ->
-          if Gossip.verify_fork ~key_of alarm then begin
+          if Gossip.verify_fork ~key_of:(Gossip.key_of g) alarm then begin
             (* When gossip proves the fork late (period > 1), the tainted
                view has already been absorbed into [point_good] by earlier
                ticks.  Roll last-good back to the newest state this vantage
@@ -476,7 +467,7 @@ let step t ~now =
         (fun store ->
           ignore
             (Relying_party.save t.rp ~now ~mode
-               ~rtr_serial:(Rpki_rtr.Session.cache_serial (rtr_cache t)) store))
+               ~rtr_serial:(Rpki_rtr.Session.cache_serial cache) store))
         (store_for t (Relying_party.name t.rp));
     List.iter
       (fun (v : Gossip.vantage) ->
@@ -503,14 +494,14 @@ let step t ~now =
       vrp_count =
         (match result with
         | Some r -> List.length r.Relying_party.vrps
-        | None -> List.length (Rpki_rtr.Session.cache_vrps (rtr_cache t)));
+        | None -> List.length (Rpki_rtr.Session.cache_vrps cache));
       issue_count =
         (match result with Some r -> List.length r.Relying_party.issues | None -> 0);
       fetch_failures;
       probe_results;
       vrp_diff =
         (match result with Some r -> r.Relying_party.diff | None -> Vrp.empty_diff);
-      rtr_serial = Rpki_rtr.Session.cache_serial (rtr_cache t);
+      rtr_serial = Rpki_rtr.Session.cache_serial cache;
       points_reused =
         (match result with Some r -> r.Relying_party.points_reused | None -> 0);
       points_revalidated =
@@ -523,7 +514,7 @@ let step t ~now =
         (match result with Some r -> r.Relying_party.budget_exhausted | None -> false);
       gossip_report;
       regressions;
-      rtr_holds = List.length (Rpki_rtr.Session.cache_holds (rtr_cache t));
+      rtr_holds = List.length (Rpki_rtr.Session.cache_holds cache);
       sig_checks;
       sig_saved;
       unsafe_count =
@@ -579,7 +570,7 @@ let pp_record fmt r =
       (List.length rep.Gossip.r_alarms)
       (if List.exists Gossip.is_fork rep.Gossip.r_alarms then " [FORK]" else "")
 
-(* --- the canned Section 6 scenario --- *)
+(* --- the canned Section 6 scenarios --- *)
 
 type section6 = {
   sim : t;
@@ -588,11 +579,11 @@ type section6 = {
   target_filename : string; (* the ROA whose corruption starts the spiral *)
 }
 
-(* Figure 5 (right) state: model RPKI plus Sprint's covering ROA; the small
-   topology with every repository host attached; Continental Broadband
-   hosting its own repository inside 63.174.16.0/20 (AS 17054). *)
-let section6_scenario ?(policy = Policy.Drop_invalid) ?grace ?(mirrored = false)
-    ?(rrdp = false) ?validity ?refresh_interval () =
+(* The Figure 5 (right) fixture both Section 6 scenarios start from: model
+   RPKI plus Sprint's covering ROA; the small topology with every
+   repository host attached; Continental Broadband hosting its own
+   repository inside 63.174.16.0/20 (AS 17054); the two repository probes. *)
+let section6_fixture ?validity ?refresh_interval () =
   let model = Model.build ?validity ?refresh_interval () in
   let _ = Model.add_fig5_right_roa model ~now:Rtime.epoch in
   let s = Topo_gen.small_scenario () in
@@ -609,6 +600,16 @@ let section6_scenario ?(policy = Policy.Drop_invalid) ?grace ?(mirrored = false)
       ann "63.170.0.0/16" Model.as_etb;              (* ETB repo; valid *)
       ann "63.174.16.0/20" Model.as_continental ]    (* Continental repo; valid iff /20 ROA fetched *)
   in
+  let probes =
+    [ { label = "continental-repo"; addr = Model.continental_repo_addr;
+        expected_origin = Model.as_continental };
+      { label = "sprint-repo"; addr = Model.sprint_repo_addr; expected_origin = Model.as_sprint } ]
+  in
+  (model, s, announcements, probes)
+
+let section6_scenario ?(policy = Policy.Drop_invalid) ?grace ?(mirrored = false)
+    ?(rrdp = false) ?validity ?refresh_interval () =
+  let model, s, announcements, probes = section6_fixture ?validity ?refresh_interval () in
   let rp = Model.relying_party ~asn:s.Topo_gen.source ?grace model in
   (* optional mitigation (draft-sidr-multiple-publication-points): mirror
      Continental's repository inside Sprint's address space, whose route
@@ -631,12 +632,10 @@ let section6_scenario ?(policy = Policy.Drop_invalid) ?grace ?(mirrored = false)
     Universe.add_rrdp model.Model.universe
       ~of_uri:(Pub_point.uri (Authority.pub model.Model.continental)) endpoint
   end;
-  let probes =
-    [ { label = "continental-repo"; addr = Model.continental_repo_addr;
-        expected_origin = Model.as_continental };
-      { label = "sprint-repo"; addr = Model.sprint_repo_addr; expected_origin = Model.as_sprint } ]
+  let sim =
+    create ~universe:model.Model.universe ~topo:s.Topo_gen.small_topo ~policy ~rp
+      ~announcements ~probes
   in
-  let sim = create ~universe:model.Model.universe ~topo ~policy ~rp ~announcements ~probes in
   let continental_repo = Authority.pub model.Model.continental in
   { sim; model; continental_repo; target_filename = model.Model.roa_target20 }
 
@@ -673,21 +672,21 @@ type split_view = {
   sv_model : Model.t;
   sv_target_filename : string;
   sv_monitors : string list;
+  sv_respawn : log_epoch:int -> Relying_party.t;
 }
 
 (* Monitor vantages sit at the repository-hosting ASes already attached to
    the Section 6 topology; each log endpoint lives inside a prefix that AS
    announces, so gossip pulls have a route to travel. *)
 let monitor_specs =
-  [ ("monitor-sprint", "63.161.200.9");
-    ("monitor-etb", "63.170.200.9");
-    ("monitor-arin", "199.5.26.9") ]
+  [ ("monitor-sprint", "63.161.200.9", Model.as_sprint);
+    ("monitor-etb", "63.170.200.9", Model.as_etb);
+    ("monitor-arin", "199.5.26.9", Model.as_arin_host) ]
 
-let monitor_asn = function
-  | "monitor-sprint" -> Model.as_sprint
-  | "monitor-etb" -> Model.as_etb
-  | "monitor-arin" -> Model.as_arin_host
-  | name -> invalid_arg ("Loop.monitor_asn: " ^ name)
+(* ARIN's repo prefix is a single /24, so its synthesized monitors stop at
+   199.5.26.250: the three named monitors, 240 full rounds of three, and
+   the Sprint and ETB monitors of round 241. *)
+let max_monitors = List.length monitor_specs + (3 * 240) + 2
 
 (* Beyond the three named monitors, further vantages are synthesized
    round-robin over the same repository-hosting ASes, each with its own log
@@ -695,7 +694,7 @@ let monitor_asn = function
    for the multi-vantage experiments. *)
 let monitor_spec i =
   match List.nth_opt monitor_specs i with
-  | Some (name, addr) -> (name, addr, monitor_asn name)
+  | Some spec -> spec
   | None -> (
     let i' = i - List.length monitor_specs in
     let j = (i' / 3) + 1 in
@@ -709,50 +708,39 @@ let monitor_spec i =
         Printf.sprintf "63.170.%d.%d" (201 + (j / 200)) (10 + (j mod 200)),
         Model.as_etb )
     | _ ->
-      (* ARIN's repo prefix is a single /24: capped well below its width *)
-      if j > 240 then invalid_arg "Loop.split_view_scenario: too many monitors";
       (Printf.sprintf "monitor-arin-%d" j, Printf.sprintf "199.5.26.%d" (10 + j),
        Model.as_arin_host))
 
-let split_view_scenario ?(policy = Policy.Drop_invalid) ?(grace = 4) ?(monitors = 2)
-    ?(gossip_period = 1) ?(overlay = Gossip.Overlay.Full_mesh)
-    ?(overlay_seed = Gossip.Overlay.default_seed)
-    ?(fetch_policy = Relying_party.resilient_policy)
-    ?validity ?refresh_interval ?(valcache = true) () =
+let split_view_scenario ?(grace = 4) ?(monitors = 2) ?(gossip_period = 1)
+    ?(overlay = Gossip.Overlay.Full_mesh) ?overlay_seed ?validity ?refresh_interval
+    ?(valcache = true) ?(persist = false) () =
   if monitors < 0 then invalid_arg "Loop.split_view_scenario: negative monitors";
-  let model = Model.build ?validity ?refresh_interval () in
-  let _ = Model.add_fig5_right_roa model ~now:Rtime.epoch in
-  let s = Topo_gen.small_scenario () in
-  let topo = s.Topo_gen.small_topo in
-  Topology.link topo ~provider:s.Topo_gen.t1a ~customer:Model.as_sprint;
-  Topology.link topo ~provider:s.Topo_gen.mid1 ~customer:Model.as_etb;
-  Topology.link topo ~provider:s.Topo_gen.t1b ~customer:Model.as_arin_host;
-  let ann prefix origin = { Propagation.prefix = V4.p prefix; origin } in
+  if monitors > max_monitors then invalid_arg "Loop.split_view_scenario: too many monitors";
+  let model, s, announcements, probes = section6_fixture ?validity ?refresh_interval () in
+  let source = s.Topo_gen.source in
+  (* the victim vantage's own log endpoint: benchmark space with no
+     covering ROA, so the route is unknown and survives filtering *)
   let announcements =
-    [ ann "199.5.26.0/24" Model.as_arin_host;
-      ann "63.161.0.0/16" Model.as_sprint;
-      ann "63.170.0.0/16" Model.as_etb;
-      ann "63.174.16.0/20" Model.as_continental;
-      (* the victim vantage's own log endpoint: benchmark space with no
-         covering ROA, so the route is unknown and survives filtering *)
-      ann "198.18.0.0/24" s.Topo_gen.source ]
+    announcements @ [ { Propagation.prefix = V4.p "198.18.0.0/24"; origin = source } ]
   in
   (* the victim runs grace (Suspenders): a forked-away VRP is held for
-     [grace] ticks, which is the window gossip detection has to beat *)
-  let rp = Model.relying_party ~name:"victim-rp" ~asn:s.Topo_gen.source ~grace model in
-  let probes =
-    [ { label = "continental-repo"; addr = Model.continental_repo_addr;
-        expected_origin = Model.as_continental };
-      { label = "sprint-repo"; addr = Model.sprint_repo_addr; expected_origin = Model.as_sprint } ]
+     [grace] ticks, which is the window gossip detection has to beat.
+     [respawn] also rebuilds it for [restart_vantage]. *)
+  let respawn ~log_epoch =
+    Model.relying_party ~name:"victim-rp" ~asn:source ~grace ~log_epoch model
   in
-  let sim = create ~universe:model.Model.universe ~topo ~policy ~rp ~announcements ~probes in
-  sim.fetch_policy <- fetch_policy;
+  let rp = respawn ~log_epoch:0 in
+  let sim =
+    create ~universe:model.Model.universe ~topo:s.Topo_gen.small_topo
+      ~policy:Policy.Drop_invalid ~rp ~announcements ~probes
+  in
+  sim.fetch_policy <- Relying_party.resilient_policy;
   if not valcache then sim.valcache <- None;
   let chosen = List.init monitors monitor_spec in
   build_mesh sim
     ~endpoint:
       (Pub_point.create ~uri:"rsync://victim-rp.example/log"
-         ~addr:(V4.addr_of_string_exn "198.18.0.7") ~host_asn:s.Topo_gen.source)
+         ~addr:(V4.addr_of_string_exn "198.18.0.7") ~host_asn:source)
     ~monitors:
       (List.map
          (fun (name, addr, asn) ->
@@ -762,33 +750,11 @@ let split_view_scenario ?(policy = Policy.Drop_invalid) ?(grace = 4) ?(monitors 
                ~addr:(V4.addr_of_string_exn addr) ~host_asn:asn ))
          chosen)
     ~gossip_period:(if monitors > 0 then Some gossip_period else None)
-    ~overlay ~overlay_seed;
+    ~overlay ?overlay_seed ();
+  if persist then sim.disk <- Some (Rpki_persist.Disk.create ());
   { sv_sim = sim; sv_model = model; sv_target_filename = model.Model.roa_target20;
-    sv_monitors = List.map (fun (n, _, _) -> n) chosen }
-
-(* --- the canned restart / rollback scenario --- *)
-
-type restart_rig = {
-  rr_sv : split_view;
-  rr_disk : Rpki_persist.Disk.t;
-  rr_respawn : log_epoch:int -> Relying_party.t;
-}
-
-(* The split-view setting rigged for crash-and-rollback experiments: the
-   victim vantage gets a snapshot store on [rr_disk] (when [persist]), and
-   [rr_respawn] rebuilds the victim instance for [restart_vantage] — same
-   name, AS, trust anchor and grace as the original, so the only thing a
-   restart changes is what survived on disk. *)
-let restart_scenario ?(persist = true) ?(grace = 4) ?(monitors = 2)
-    ?(gossip_period = 1) ?valcache () =
-  let sv = split_view_scenario ~grace ~monitors ~gossip_period ?valcache () in
-  let disk = Rpki_persist.Disk.create () in
-  if persist then sv.sv_sim.disk <- Some disk;
-  let asn = Relying_party.asn sv.sv_sim.rp in
-  let respawn ~log_epoch =
-    Model.relying_party ~name:"victim-rp" ~asn ~grace ~log_epoch sv.sv_model
-  in
-  { rr_sv = sv; rr_disk = disk; rr_respawn = respawn }
+    sv_monitors = List.map (fun (n, _, _) -> n) chosen;
+    sv_respawn = respawn }
 
 (* --- scenarios on generated worlds --------------------------------------
 
@@ -808,7 +774,6 @@ type world_rig = {
   wr_target_filename : string;     (* the victim's ROA — the fork target *)
   wr_target_authority : Authority.t;
   wr_monitors : string list;
-  wr_disk : Rpki_persist.Disk.t option;
   wr_respawn : (log_epoch:int -> Relying_party.t) option;
 }
 
@@ -821,17 +786,18 @@ let world_fetch_policy (w : World.world) =
     Relying_party.sync_budget =
       max Relying_party.resilient_policy.Relying_party.sync_budget (64 * points) }
 
-let world_scenario ?(policy = Policy.Drop_invalid) ?(grace = 4) ?(monitors = 2)
-    ?(placement = Placement.By_degree) ?(gossip_period = 1)
-    ?(overlay = Gossip.Overlay.Full_mesh)
-    ?(overlay_seed = Gossip.Overlay.default_seed) ?fetch_policy
-    ?(valcache = true) ?(persist = false) ?(world = World.default_spec) () =
+let world_scenario ?(grace = 4) ?(monitors = 2) ?(placement = Placement.By_degree)
+    ?(gossip_period = 1) ?(overlay = Gossip.Overlay.Full_mesh) ?(persist = false)
+    ?(world = World.default_spec) () =
   if monitors < 0 then invalid_arg "Loop.world_scenario: negative monitors";
   let w = World.build world in
   let g = World.graph w in
   let rp_asn = World.rp_asn w in
   let tals = [ Relying_party.tal_of_authority (World.root w) ] in
-  let rp = Relying_party.create ~name:"victim-rp" ~asn:rp_asn ~tals ~grace () in
+  let respawn ~log_epoch =
+    Relying_party.create ~name:"victim-rp" ~asn:rp_asn ~tals ~grace ~log_epoch ()
+  in
+  let rp = respawn ~log_epoch:0 in
   let monitor_asns =
     Placement.vantage_asns g placement ~count:monitors ~exclude:[ rp_asn ]
   in
@@ -846,14 +812,10 @@ let world_scenario ?(policy = Policy.Drop_invalid) ?(grace = 4) ?(monitors = 2)
         expected_origin = World.victim w } ]
   in
   let sim =
-    create ~universe:(World.universe w) ~topo:(As_graph.topology g) ~policy ~rp
-      ~announcements ~probes
+    create ~universe:(World.universe w) ~topo:(As_graph.topology g)
+      ~policy:Policy.Drop_invalid ~rp ~announcements ~probes
   in
-  let fetch_policy =
-    match fetch_policy with Some p -> p | None -> world_fetch_policy w
-  in
-  sim.fetch_policy <- fetch_policy;
-  if not valcache then sim.valcache <- None;
+  sim.fetch_policy <- world_fetch_policy w;
   let monitor_name asn = Printf.sprintf "monitor-as%d" asn in
   build_mesh sim
     ~endpoint:
@@ -869,22 +831,12 @@ let world_scenario ?(policy = Policy.Drop_invalid) ?(grace = 4) ?(monitors = 2)
                ~addr:(World.host_addr w ~asn ~host:9) ~host_asn:asn ))
          monitor_asns)
     ~gossip_period:(if monitors > 0 then Some gossip_period else None)
-    ~overlay ~overlay_seed;
-  let disk, respawn =
-    if persist then begin
-      let disk = Rpki_persist.Disk.create () in
-      sim.disk <- Some disk;
-      ( Some disk,
-        Some (fun ~log_epoch ->
-            Relying_party.create ~name:"victim-rp" ~asn:rp_asn ~tals ~grace
-              ~log_epoch ()) )
-    end
-    else (None, None)
-  in
+    ~overlay ();
+  if persist then sim.disk <- Some (Rpki_persist.Disk.create ());
   { wr_sim = sim; wr_world = w; wr_target_filename = World.victim_roa w;
     wr_target_authority = World.victim_ca w;
-    wr_monitors = List.map monitor_name monitor_asns; wr_disk = disk;
-    wr_respawn = respawn }
+    wr_monitors = List.map monitor_name monitor_asns;
+    wr_respawn = (if persist then Some respawn else None) }
 
 (* --- the canned fault-mix scenario --------------------------------------
 
@@ -894,54 +846,29 @@ let world_scenario ?(policy = Policy.Drop_invalid) ?(grace = 4) ?(monitors = 2)
    manifests, seqnum gaps, expired / forward-dated ROAs, RFC 3779
    overclaims, manifest regressions, transport failures) while the primary
    syncs under a configurable unsafe-VRP policy.  The rig also names the
-   sub-CA whose loss the graceful-degradation demo studies: whacking its
-   publication point makes its resources join the failed set, turning the
-   parent's covering ROA into an unsafe VRP. *)
+   publication point whose loss the graceful-degradation demo studies:
+   whacking Continental's point makes its resources join the failed set,
+   turning Sprint's covering ROA into an unsafe VRP. *)
 
 type fault_mix_rig = {
   fm_sim : t;
   fm_engine : Fault_mix.t;
   fm_targets : Authority.t list;     (* authorities the engine rolls *)
-  fm_victim_authority : Authority.t; (* the sub-CA the downgrade demo whacks *)
-  fm_victim_uri : string;            (* its publication point *)
-  fm_victim_prefix : V4.Prefix.t;    (* the prefix its ROA protects *)
-  fm_victim_origin : int;            (* the legitimate origin AS *)
-  fm_model : Model.t option;         (* the canned fixture, when used *)
-  fm_world : World.world option;     (* the generated world, when used *)
+  fm_victim_uri : string;            (* the point the downgrade demo whacks *)
 }
 
-let fault_mix_scenario ?(policy = Policy.Drop_invalid) ?grace
-    ?(unsafe = Relying_party.Unsafe_accept)
-    ?(fetch_policy = Relying_party.default_policy) ?(seed = 0x5eed)
-    ?(rate = 0.) ?repair_after ?world () =
-  let engine = Fault_mix.create ~seed ~rate ?repair_after () in
-  let fetch_policy = { fetch_policy with Relying_party.unsafe } in
-  match world with
-  | None ->
-    (* the Figure 5 (right) fixture: Continental's /20 ROA under Sprint's
-       covering /12-13 ROA — exactly the covering-ROA shape the unsafe
-       analysis is about *)
-    let sc = section6_scenario ~policy ?grace () in
-    sc.sim.fetch_policy <- fetch_policy;
-    let m = sc.model in
-    { fm_sim = sc.sim; fm_engine = engine;
-      fm_targets =
-        [ m.Model.arin; m.Model.sprint; m.Model.etb; m.Model.continental ];
-      fm_victim_authority = m.Model.continental;
-      fm_victim_uri = Pub_point.uri (Authority.pub m.Model.continental);
-      fm_victim_prefix = V4.p "63.174.16.0/20";
-      fm_victim_origin = Model.as_continental;
-      fm_model = Some m; fm_world = None }
-  | Some spec ->
-    let rig = world_scenario ~policy ~monitors:0 ~fetch_policy ~world:spec () in
-    let w = rig.wr_world in
-    { fm_sim = rig.wr_sim; fm_engine = engine;
-      fm_targets = World.root w :: List.map snd (World.cas w);
-      fm_victim_authority = rig.wr_target_authority;
-      fm_victim_uri = Pub_point.uri (Authority.pub rig.wr_target_authority);
-      fm_victim_prefix = World.prefix_of w (World.victim w);
-      fm_victim_origin = World.victim w;
-      fm_model = None; fm_world = Some w }
+let fault_mix_scenario ?(unsafe = Relying_party.Unsafe_accept)
+    ?(fetch_policy = Relying_party.default_policy) ?(seed = 0x5eed) ?(rate = 0.) () =
+  let engine = Fault_mix.create ~seed ~rate () in
+  (* the Figure 5 (right) fixture: Continental's /20 ROA under Sprint's
+     covering /12-13 ROA — exactly the covering-ROA shape the unsafe
+     analysis is about *)
+  let sc = section6_scenario () in
+  sc.sim.fetch_policy <- { fetch_policy with Relying_party.unsafe };
+  let m = sc.model in
+  { fm_sim = sc.sim; fm_engine = engine;
+    fm_targets = [ m.Model.arin; m.Model.sprint; m.Model.etb; m.Model.continental ];
+    fm_victim_uri = Pub_point.uri (Authority.pub m.Model.continental) }
 
 (* One fault-mix tick: roll the engine (repairs due faults, injects fresh
    ones on the authorities and the primary's transport), then run the
@@ -969,9 +896,6 @@ type soak_config = {
   sk_compact_every : int;    (* fold persistence chains every n ticks; 0 = never *)
   sk_evict : bool;           (* epoch-based Valcache eviction at tick end *)
   sk_full_snapshots : bool;  (* force O(history) full saves (the baseline) *)
-  sk_valcache : bool;
-  sk_monitors : int;
-  sk_gossip_period : int;
   sk_sample_every : int;     (* record a sample every n ticks (and at the end) *)
   sk_validity : int option;  (* issuance validity window, in ticks *)
   sk_refresh_interval : int option;
@@ -983,8 +907,7 @@ type soak_config = {
 
 let default_soak =
   { sk_ticks = 2000; sk_churn_every = 0; sk_compact_every = 64; sk_evict = true;
-    sk_full_snapshots = false; sk_valcache = true; sk_monitors = 1;
-    sk_gossip_period = 16; sk_sample_every = 100; sk_validity = None;
+    sk_full_snapshots = false; sk_sample_every = 100; sk_validity = None;
     sk_refresh_interval = None; sk_world = None }
 
 type soak_sample = {
@@ -1009,13 +932,14 @@ type soak_report = {
 let run_soak ?(config = default_soak) () =
   let c = config in
   if c.sk_ticks < 1 then invalid_arg "Loop.run_soak: ticks must be positive";
+  (* the primary plus one monitor, gossiping every 16 ticks *)
+  let monitors = 1 and gossip_period = 16 in
   let t, churn =
     match c.sk_world with
     | None ->
       let sv =
-        split_view_scenario ~monitors:c.sk_monitors ~gossip_period:c.sk_gossip_period
-          ?validity:c.sk_validity ?refresh_interval:c.sk_refresh_interval
-          ~valcache:c.sk_valcache ()
+        split_view_scenario ~monitors ~gossip_period ?validity:c.sk_validity
+          ?refresh_interval:c.sk_refresh_interval ()
       in
       (sv.sv_sim, fun ~now -> Authority.maintain sv.sv_model.Model.arin ~now)
     | Some wspec ->
@@ -1030,10 +954,7 @@ let run_soak ?(config = default_soak) () =
             | Some _ -> c.sk_refresh_interval
             | None -> wspec.World.refresh_interval) }
       in
-      let rig =
-        world_scenario ~monitors:c.sk_monitors ~gossip_period:c.sk_gossip_period
-          ~valcache:c.sk_valcache ~world:wspec ()
-      in
+      let rig = world_scenario ~monitors ~gossip_period ~world:wspec () in
       (rig.wr_sim, fun ~now -> Authority.maintain (World.root rig.wr_world) ~now)
   in
   let disk = Rpki_persist.Disk.create () in
@@ -1043,7 +964,7 @@ let run_soak ?(config = default_soak) () =
   t.save_full <- c.sk_full_snapshots;
   t.keep_history <- false;
   let primary_store = vantage_store t ~name:(Relying_party.name t.rp) in
-  let vantage_count = 1 + c.sk_monitors in
+  let vantage_count = 1 + monitors in
   let samples = ref [] in
   let last_written = ref 0 in
   let sample ~tick =

@@ -38,7 +38,6 @@ type t = {
   transport : Transport.t;                   (** priced off the previous tick's
                                                  data plane *)
   mutable fetch_policy : Relying_party.fetch_policy;
-  mutable per_hop_latency : int;             (** transport ticks per hop *)
   mutable net : Data_plane.network option;
   mutable history : tick_record list;
   mutable vantages : Gossip.vantage list;    (** gossip mesh members *)
@@ -125,16 +124,10 @@ val rtr_server : t -> Rpki_rtr.Server.t
     {!Rpki_rtr.Server.flush} (publish + any holds coalesce into a single
     notify), run on [rtr_domains] Domains. *)
 
-val rtr_cache : t -> Rpki_rtr.Session.cache
-(** The serving plane's underlying cache; single-router code can still
-    attach to it directly with {!Rpki_rtr.Session.synchronize}.  Its data
-    age tracks the worst staleness of each tick's sync.  Deprecated in
-    favour of {!rtr_server} — kept so pre-server callers compile. *)
-
 val transport : t -> Transport.t
 (** The loop's transport.  Its latency oracle is wired to the previous
-    tick's data plane ([per_hop_latency] transport ticks per forwarding
-    hop; no valid route — or traffic delivered to a hijacker — is no
+    tick's data plane (one transport tick per forwarding hop; no valid
+    route — or traffic delivered to a hijacker — is no
     route).  Adversaries ({!Rpki_attack.Stall}) and operators inject
     faults here. *)
 
@@ -184,7 +177,7 @@ val first_rollback_tick : t -> Rtime.t option
 
 (** {2 Persistence, crash and restart}
 
-    With a [disk] set (the scenario builders' [persist]), every live
+    With a [disk] set (the scenario builders' [~persist:true]), every live
     vantage snapshots its durable
     state ({!Relying_party.save}) at the end of each tick, to a
     per-vantage generation-numbered store on a shared simulated disk —
@@ -228,7 +221,10 @@ val restart_vantage :
     empty (and peers will raise {!Gossip.alarm.Log_reset}).  Raises
     [Invalid_argument] unless the vantage is down. *)
 
-(** {2 The canned Section 6 scenario} *)
+(** {2 The canned Section 6 scenarios}
+
+    {!section6_scenario} and {!split_view_scenario} share one Figure 5
+    (right) fixture: model, topology, announcements and probes. *)
 
 type section6 = {
   sim : t;
@@ -275,24 +271,31 @@ type split_view = {
                                     ([roa_target20], guarding the victim
                                     route 63.174.16.0/20 AS 17054) *)
   sv_monitors : string list;    (** registered monitor vantage names *)
+  sv_respawn : log_epoch:int -> Relying_party.t;
+      (** rebuilds the victim for {!restart_vantage}: same name, AS, trust
+          anchor and grace, so a restart changes only what survived on
+          disk (nothing, without [persist]) *)
 }
 
+val max_monitors : int
+(** The most monitors {!split_view_scenario} can place (725): synthesized
+    ARIN monitors must fit in ARIN's single /24. *)
+
 val split_view_scenario :
-  ?policy:Policy.t ->
   ?grace:int ->
   ?monitors:int ->
   ?gossip_period:int ->
   ?overlay:Gossip.Overlay.spec ->
   ?overlay_seed:int ->
-  ?fetch_policy:Relying_party.fetch_policy ->
   ?validity:int ->
   ?refresh_interval:int ->
   ?valcache:bool ->
+  ?persist:bool ->
   unit ->
   split_view
 (** The Section 6 setting rigged for split-view detection: the victim
     relying party ("victim-rp", at the source AS, running [grace] — default
-    4 — and [fetch_policy] — default {!Relying_party.resilient_policy})
+    4 — and {!Relying_party.resilient_policy}, routing drop-invalid)
     plus [monitors] (default 2) monitor vantages at the repository-hosting
     ASes (Sprint, ETB, ARIN's host), all gossiping every [gossip_period]
     ticks over [overlay] (default full mesh — see {!Gossip.Overlay}).
@@ -300,12 +303,17 @@ val split_view_scenario :
     same three ASes with their own in-prefix log endpoints — the scaling
     configuration for the multi-vantage experiments.  With [monitors = 0]
     no gossip mesh is built — the single-vantage baseline that cannot
-    detect a fork.
+    detect a fork.  Raises [Invalid_argument] unless
+    [0 <= monitors <= max_monitors].
 
     [refresh_interval] shortens every authority's re-issuance period (see
     {!Model.build}) so scaling runs can churn the universe every tick;
     [valcache] (default true) controls the loop's shared validation plane
     ([valcache = false] leaves the loop's [valcache] field [None]).
+    [persist] (default false) sets the loop's [disk] to a fresh simulated
+    disk, so every live vantage snapshots each tick — the crash-and-rollback
+    rigging; without it a restart through [sv_respawn] is the fresh-start
+    oracle, and a served rollback goes undetected.
 
     The split-view whack itself is the caller's move:
     [Rpki_attack.Split_view.plan ~authority:sv_model.continental
@@ -313,31 +321,6 @@ val split_view_scenario :
     [transport sv_sim] forks only the victim's view.  Grace then holds the
     suppressed VRP for [grace] ticks, which is the window gossip detection
     must beat for the alarm to precede the route going invalid. *)
-
-(** {2 The canned restart / rollback scenario} *)
-
-type restart_rig = {
-  rr_sv : split_view;
-  rr_disk : Rpki_persist.Disk.t;   (** the shared simulated disk — arm
-                                       {!Rpki_persist.Disk.inject} faults here *)
-  rr_respawn : log_epoch:int -> Relying_party.t;
-      (** rebuilds the victim instance for {!restart_vantage}: same name,
-          AS, trust anchor and grace as the original *)
-}
-
-val restart_scenario :
-  ?persist:bool ->
-  ?grace:int ->
-  ?monitors:int ->
-  ?gossip_period:int ->
-  ?valcache:bool ->
-  unit ->
-  restart_rig
-(** The split-view setting rigged for crash-and-rollback experiments.
-    [persist] (default true) enables end-of-tick snapshots for every
-    vantage; with [persist = false] the rig measures the fresh-start
-    oracle — the victim restarts with no baseline and a served rollback
-    goes undetected. *)
 
 (** {2 Scenarios on generated worlds}
 
@@ -358,23 +341,17 @@ type world_rig = {
           other scenario families *)
   wr_target_authority : Rpki_repo.Authority.t;
   wr_monitors : string list;  (** registered monitor vantage names *)
-  wr_disk : Rpki_persist.Disk.t option;  (** with [persist]: the simulated
-                                             disk, for fault injection *)
   wr_respawn : (log_epoch:int -> Relying_party.t) option;
       (** with [persist]: rebuilds the victim instance for
           {!restart_vantage} *)
 }
 
 val world_scenario :
-  ?policy:Policy.t ->
   ?grace:int ->
   ?monitors:int ->
   ?placement:Rpki_world.Placement.policy ->
   ?gossip_period:int ->
   ?overlay:Gossip.Overlay.spec ->
-  ?overlay_seed:int ->
-  ?fetch_policy:Relying_party.fetch_policy ->
-  ?valcache:bool ->
   ?persist:bool ->
   ?world:Rpki_world.Synthesis.spec ->
   unit ->
@@ -383,11 +360,11 @@ val world_scenario :
     and rig it like {!split_view_scenario}: the primary relying party
     ("victim-rp", grace default 4) at the world's designated RP stub,
     [monitors] (default 2) monitor vantages at ASes chosen by [placement]
-    (default [By_degree]), all gossiping every [gossip_period] ticks.  The
-    default [fetch_policy] is the resilient shape with the sync budget
-    scaled to the world's publication-point count.  [persist] (default
-    false) adds end-of-tick snapshots on a fresh simulated disk and a
-    respawn builder — the restart-scenario rigging. *)
+    (default [By_degree]), all gossiping every [gossip_period] ticks,
+    routing drop-invalid.  The fetch policy is the resilient shape with
+    the sync budget scaled to the world's publication-point count.
+    [persist] (default false) adds end-of-tick snapshots on a fresh
+    simulated disk and a respawn builder. *)
 
 (** {2 The canned fault-mix scenario}
 
@@ -401,36 +378,25 @@ type fault_mix_rig = {
   fm_engine : Rpki_repo.Fault_mix.t;
   fm_targets : Rpki_repo.Authority.t list;
       (** the authorities the engine rolls each tick *)
-  fm_victim_authority : Rpki_repo.Authority.t;
-      (** the sub-CA whose loss the graceful-degradation demo studies:
-          whack or unroute its point and its resources join the failed
-          set, turning the parent's covering ROA into an unsafe VRP *)
-  fm_victim_uri : string;          (** its publication point *)
-  fm_victim_prefix : Rpki_ip.V4.Prefix.t;  (** the prefix its ROA protects *)
-  fm_victim_origin : int;          (** the legitimate origin AS *)
-  fm_model : Model.t option;       (** the canned fixture, when used *)
-  fm_world : Rpki_world.Synthesis.world option;
+  fm_victim_uri : string;
+      (** Continental's publication point, whose loss the
+          graceful-degradation demo studies: whack or unroute it and its
+          resources join the failed set, turning Sprint's covering ROA
+          into an unsafe VRP *)
 }
 
 val fault_mix_scenario :
-  ?policy:Policy.t ->
-  ?grace:int ->
   ?unsafe:Relying_party.unsafe_policy ->
   ?fetch_policy:Relying_party.fetch_policy ->
   ?seed:int ->
   ?rate:float ->
-  ?repair_after:int ->
-  ?world:Rpki_world.Synthesis.spec ->
   unit ->
   fault_mix_rig
-(** Without [world]: the {!section6_scenario} fixture (Continental's /20
-    ROA under Sprint's covering /12-13 ROA — exactly the covering-ROA
-    shape the unsafe analysis is about), victim = Continental.  With
-    [world]: a generated world via {!world_scenario} (no monitors),
-    victim = the world's designated victim CA.  [unsafe] (default
-    [Unsafe_accept]) is spliced into [fetch_policy] (default
-    {!Relying_party.default_policy}); [seed]/[rate]/[repair_after] go to
-    {!Rpki_repo.Fault_mix.create}. *)
+(** The {!section6_scenario} fixture (Continental's /20 ROA under Sprint's
+    covering /12-13 ROA — exactly the covering-ROA shape the unsafe
+    analysis is about).  [unsafe] (default [Unsafe_accept]) is spliced
+    into [fetch_policy] (default {!Relying_party.default_policy});
+    [seed]/[rate] go to {!Rpki_repo.Fault_mix.create}. *)
 
 val fault_mix_step : fault_mix_rig -> now:Rtime.t -> Rpki_repo.Fault_mix.injection list * tick_record
 (** One fault-mix tick: {!Rpki_repo.Fault_mix.tick} the engine (repair due
@@ -454,9 +420,6 @@ type soak_config = {
                                  0 = never *)
   sk_evict : bool;           (** epoch-based Valcache eviction at tick end *)
   sk_full_snapshots : bool;  (** force O(history) full saves (the baseline) *)
-  sk_valcache : bool;        (** shared validation plane on *)
-  sk_monitors : int;         (** monitor vantages alongside the primary *)
-  sk_gossip_period : int;
   sk_sample_every : int;     (** record a sample every n ticks (and at the
                                  last tick regardless) *)
   sk_validity : int option;  (** issuance validity window, in ticks — short
@@ -471,7 +434,7 @@ type soak_config = {
 
 val default_soak : soak_config
 (** 2000 ticks, no churn, compaction every 64 ticks, eviction on, segmented
-    saves, 1 monitor, gossip every 16 ticks, a sample every 100 ticks. *)
+    saves, a sample every 100 ticks. *)
 
 type soak_sample = {
   so_tick : int;
@@ -493,7 +456,8 @@ type soak_report = {
 }
 
 val run_soak : ?config:soak_config -> unit -> soak_report
-(** Build a {!split_view_scenario} with persistence on a fresh simulated
+(** Build a {!split_view_scenario} (or a {!world_scenario}) with one
+    monitor gossiping every 16 ticks and persistence on a fresh simulated
     disk, apply the config's endurance knobs ([keep_history] off so the
     run itself stays flat), drive [sk_ticks] ticks with the configured
     churn, and sample the growth curves. *)

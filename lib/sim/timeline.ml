@@ -20,12 +20,12 @@ module Rollback_restart = struct
 
   type outcome = { recovery : Relying_party.recovery; serial_at_kill : int }
 
-  let run ?(observe = ignore) ?fault ~restart_at ~ticks (rig : Loop.restart_rig) =
+  let run ?(observe = ignore) ?fault ~restart_at ~ticks (sv : Loop.split_view) =
     if restart_at <= kill_after || restart_at > ticks then
       invalid_arg
         (Printf.sprintf "Timeline.Rollback_restart.run: restart_at %d not in (%d, %d]"
            restart_at kill_after ticks);
-    let sim = rig.Loop.rr_sv.Loop.sv_sim and model = rig.Loop.rr_sv.Loop.sv_model in
+    let sim = sv.Loop.sv_sim and model = sv.Loop.sv_model in
     let victim = Relying_party.name sim.Loop.rp in
     let atk = Rollback.plan ~authority:model.Model.continental in
     let recovery = ref None and serial_at_kill = ref 0 in
@@ -35,10 +35,13 @@ module Rollback_restart = struct
         observe (Revoked now)
       end;
       (* arm the one-shot disk fault so it fires on the victim's *last*
-         pre-crash snapshot write (the primary saves first each tick) *)
-      if now = kill_after then Option.iter (Rpki_persist.Disk.inject rig.Loop.rr_disk) fault;
+         pre-crash snapshot write (the primary saves first each tick);
+         without persistence there is no write to fault *)
+      (match (fault, sim.Loop.disk) with
+      | Some f, Some disk when now = kill_after -> Rpki_persist.Disk.inject disk f
+      | _ -> ());
       if now = restart_at then begin
-        let r = Loop.restart_vantage sim ~name:victim ~now ~make:rig.Loop.rr_respawn in
+        let r = Loop.restart_vantage sim ~name:victim ~now ~make:sv.Loop.sv_respawn in
         recovery := Some r;
         observe (Restarted (now, r))
       end;

@@ -39,11 +39,13 @@ module Rollback_restart : sig
     ?fault:Rpki_persist.Disk.fault ->
     restart_at:int ->
     ticks:int ->
-    Loop.restart_rig ->
+    Loop.split_view ->
     outcome
-  (** Run ticks [1..ticks].  [fault] is armed at {!kill_after}, so it
-      fires on the victim's last pre-crash snapshot.  Raises
-      [Invalid_argument] unless [kill_after < restart_at <= ticks]. *)
+  (** Run ticks [1..ticks]; the victim restarts through [sv_respawn].
+      [fault] is armed at {!kill_after} on the loop's [disk], so it fires
+      on the victim's last pre-crash snapshot; without persistence there
+      is nothing to fault and it is ignored.  Raises [Invalid_argument]
+      unless [kill_after < restart_at <= ticks]. *)
 end
 
 (** Byzantine equivocation: the named monitors each serve the victim a

@@ -25,3 +25,8 @@ run scale --ases 7
 run scale --placement nowhere
 run whack --target 21
 run monitor --action nope
+run transparency --vantages 727
+run transparency --monitors 726
+run gossip --vantages 727
+run restart --vantages 727
+run scale --ases 200 --monitors 200

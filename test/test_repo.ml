@@ -11,7 +11,8 @@ let shared = lazy (Model.build ())
 let fresh_model () = Model.build ()
 
 let sync ?reachable ?(now = 1) (m : Model.t) rp =
-  Relying_party.sync rp ~now ~universe:m.Model.universe ?reachable ()
+  let transport = Option.map Transport.of_oracle reachable in
+  Relying_party.sync rp ~now ~universe:m.Model.universe ?transport ()
 
 let sync_indexed ?(now = 1) (m : Model.t) rp =
   let r = Relying_party.sync rp ~now ~universe:m.Model.universe () in

@@ -33,15 +33,15 @@ let restart_at = 6
 let ticks = 9
 
 let run ~persist ?fault () =
-  let rig = Loop.restart_scenario ~persist ~grace:0 ~monitors:2 ~gossip_period:1 () in
-  let out = Timeline.Rollback_restart.run ?fault ~restart_at ~ticks rig in
-  (rig.Loop.rr_sv.Loop.sv_sim, out.Timeline.Rollback_restart.recovery)
+  let sv = Loop.split_view_scenario ~persist ~grace:0 ~monitors:2 ~gossip_period:1 () in
+  let out = Timeline.Rollback_restart.run ?fault ~restart_at ~ticks sv in
+  (sv.Loop.sv_sim, out.Timeline.Rollback_restart.recovery)
 
 let vrp_present vrps =
   List.exists (fun (v : Vrp.t) -> V4.Prefix.equal v.Vrp.prefix target_prefix) vrps
 
 let router_sees_replay t =
-  vrp_present (Rpki_rtr.Session.cache_vrps (Loop.rtr_cache t))
+  vrp_present (Rpki_rtr.Session.cache_vrps (Rpki_rtr.Server.cache (Loop.rtr_server t)))
 
 (* Persistence on: the restored baseline catches the replay within one
    gossip round, with from-scratch-verifiable evidence, and the hold keeps

@@ -116,6 +116,41 @@ let test_soak_on_generated_world () =
   Alcotest.(check bool) "compaction bounds the chain" true
     (List.for_all (fun (s : Loop.soak_sample) -> s.Loop.so_segments <= 32) samples)
 
+(* The endurance knobs (eviction, compaction, segmented saves) change
+   cost, never results: the split-view and rollback-restart timelines on a
+   persisted rig record the same history with the knobs on as with the
+   pre-refactor baseline (full snapshots, no eviction, no compaction). *)
+let set_endurance (sim : Loop.t) ~on =
+  sim.Loop.valcache_evict <- on;
+  sim.Loop.compact_every <- (if on then 4 else 0);
+  sim.Loop.save_full <- not on
+
+let split_view_history ~on =
+  let sv = Loop.split_view_scenario ~persist:true ~grace:4 ~monitors:2 ~gossip_period:1 () in
+  let sim = sv.Loop.sv_sim in
+  set_endurance sim ~on;
+  let atk =
+    Rpki_attack.Split_view.plan ~authority:sv.Loop.sv_model.Model.continental
+      ~target_filename:sv.Loop.sv_target_filename ()
+  in
+  for now = 1 to 10 do
+    if now = 3 then Rpki_attack.Split_view.apply atk (Loop.transport sim);
+    ignore (Loop.step sim ~now)
+  done;
+  Loop.history sim
+
+let restart_history ~on =
+  let sv = Loop.split_view_scenario ~persist:true ~grace:0 ~monitors:2 ~gossip_period:1 () in
+  set_endurance sv.Loop.sv_sim ~on;
+  ignore (Rpki_sim.Timeline.Rollback_restart.run ~restart_at:6 ~ticks:12 sv);
+  Loop.history sv.Loop.sv_sim
+
+let test_endurance_knobs_keep_traces () =
+  Alcotest.(check bool) "split-view history identical" true
+    (split_view_history ~on:true = split_view_history ~on:false);
+  Alcotest.(check bool) "rollback-restart history identical" true
+    (restart_history ~on:true = restart_history ~on:false)
+
 (* --- clear vs evict ----------------------------------------------------- *)
 
 let outcome ~snap ~boundaries =
@@ -167,7 +202,9 @@ let () =
           Alcotest.test_case "epoch eviction flattens residency under churn" `Quick
             test_eviction_flattens_residency;
           Alcotest.test_case "soak runs on a generated world" `Slow
-            test_soak_on_generated_world ] );
+            test_soak_on_generated_world;
+          Alcotest.test_case "endurance knobs keep the detection traces" `Quick
+            test_endurance_knobs_keep_traces ] );
       ( "clear-vs-evict",
         [ Alcotest.test_case "clear zeroes counters, evict accounts" `Quick
             test_clear_is_not_evict;

@@ -260,7 +260,7 @@ let test_late_fork_rolls_back_last_good () =
   let final = List.nth (Loop.history t) (List.length (Loop.history t) - 1) in
   Alcotest.(check bool) "hold active" true (final.Loop.rtr_holds > 0);
   Alcotest.(check bool) "suppressed VRP pinned at the honest state" true
-    (has_target (Rpki_rtr.Session.cache_vrps (Loop.rtr_cache t)))
+    (has_target (Rpki_rtr.Session.cache_vrps (Rpki_rtr.Server.cache (Loop.rtr_server t))))
 
 (* The equivocation alarm, driven for real: a hand-built vantage pair where
    the "equivocator" gossips one signed tree head, then is swapped for a

@@ -308,7 +308,7 @@ let test_rtr_data_age () =
   let sc = Rpki_sim.Loop.section6_scenario () in
   let sim = sc.Rpki_sim.Loop.sim in
   ignore (Rpki_sim.Loop.step sim ~now:1);
-  let cache = Rpki_sim.Loop.rtr_cache sim in
+  let cache = Rpki_rtr.Server.cache (Rpki_sim.Loop.rtr_server sim) in
   Alcotest.(check int) "fresh data age" 0 (Rpki_rtr.Session.cache_data_age cache);
   (* stall every repository: the RP serves pure cache from now on *)
   List.iter
