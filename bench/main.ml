@@ -31,6 +31,32 @@ let bench_crypto () =
       Test.make ~name:"rsa-verify-512"
         (Staged.stage (fun () -> Rpki_crypto.Rsa.verify ~key:keypair.Rpki_crypto.Rsa.public ~signature msg_1k)) ]
 
+(* a 4096-leaf Merkle tree; successive runs step the size (root,
+   consistency) or index (inclusion) by a stride coprime with 4096, so
+   every short window of runs spreads over the whole tree, ragged
+   (non-power-of-two) right edges included *)
+let bench_transparency () =
+  let module Merkle = Rpki_transparency.Merkle in
+  let n = 4096 in
+  let t = Merkle.create () in
+  for i = 0 to n - 1 do
+    ignore (Merkle.add t (Printf.sprintf "leaf-%d" i))
+  done;
+  let stepper () =
+    let i = ref 0 in
+    fun () ->
+      i := (!i + 1237) mod n;
+      !i
+  in
+  let root_size = stepper () and index = stepper () and old_size = stepper () in
+  Test.make_grouped ~name:"transparency"
+    [ Test.make ~name:"merkle-root-4096"
+        (Staged.stage (fun () -> Merkle.root_at t ~size:(1 + root_size ())));
+      Test.make ~name:"merkle-inclusion-4096"
+        (Staged.stage (fun () -> Merkle.inclusion_proof t ~index:(index ()) ~size:n));
+      Test.make ~name:"merkle-consistency-4096"
+        (Staged.stage (fun () -> Merkle.consistency_proof t ~old_size:(1 + old_size ()) ~size:n)) ]
+
 let bench_objects () =
   let key = Rpki_crypto.Rsa.generate (drbg_rng "bench-objects") in
   let cert =
@@ -140,7 +166,7 @@ let run_perf () =
   Printf.printf "\n==== Microbenchmarks (Bechamel, monotonic clock) ====\n\n";
   let tests =
     Test.make_grouped ~name:"rpki-mra"
-      [ bench_crypto (); bench_objects (); bench_origin_validation (); bench_bgp ();
+      [ bench_crypto (); bench_transparency (); bench_objects (); bench_origin_validation (); bench_bgp ();
         bench_attack (); bench_rp (); bench_rtr (); bench_rrdp () ]
   in
   let ols =

@@ -4,12 +4,25 @@
    the same signature pipeline (DigestInfo wrapping, type-01 padding, modular
    exponentiation) at a configurable modulus size, defaulting to 512 bits so
    that building thousand-certificate hierarchies in tests stays cheap.  The
-   substitution is documented in DESIGN.md. *)
+   substitution is documented in DESIGN.md.
+
+   Signing uses the Chinese Remainder Theorem: two half-size exponentiations
+   mod p and mod q, recombined with Garner's formula.  The result is the
+   unique residue mod n that m^d mod n also is, so signatures are the same
+   bytes as the textbook m^d mod n — PKCS#1 v1.5 is deterministic. *)
 
 open Rpki_bignum
 
 type public = { n : Nat.t; e : Nat.t }
-type private_ = { pub : public; d : Nat.t; p : Nat.t; q : Nat.t }
+type private_ = {
+  pub : public;
+  d : Nat.t;
+  p : Nat.t;
+  q : Nat.t;
+  dp : Nat.t; (* d mod (p-1) *)
+  dq : Nat.t; (* d mod (q-1) *)
+  qinv : Nat.t; (* q^-1 mod p *)
+}
 
 type keypair = { public : public; private_ : private_ }
 
@@ -36,10 +49,13 @@ let generate ?(bits = default_bits) rng =
       | None -> go ()
       | Some d ->
         if Nat.num_bits n <> bits then go ()
-        else begin
-          let pub = { n; e } in
-          { public = pub; private_ = { pub; d; p; q } }
-        end
+        else
+          match Zint.mod_inverse q ~modulus:p with
+          | None -> go () (* unreachable: distinct primes are coprime *)
+          | Some qinv ->
+            let pub = { n; e } in
+            let dp = Nat.rem d (Nat.pred p) and dq = Nat.rem d (Nat.pred q) in
+            { public = pub; private_ = { pub; d; p; q; dp; dq; qinv } }
     end
   in
   go ()
@@ -59,17 +75,23 @@ let sign ~key msg =
   let digest = Sha256.digest msg in
   let len = modulus_bytes key.pub in
   let em = Nat.of_bytes_be (pkcs1_encode digest len) in
-  let s = Nat.pow_mod ~base:em ~exp:key.d ~modulus:key.pub.n in
+  let m1 = Nat.pow_mod ~base:(Nat.rem em key.p) ~exp:key.dp ~modulus:key.p in
+  let m2 = Nat.pow_mod ~base:(Nat.rem em key.q) ~exp:key.dq ~modulus:key.q in
+  (* Garner: s = m2 + q·(qinv·(m1 - m2) mod p), in [0, n) *)
+  let diff = Nat.sub (Nat.add m1 key.p) (Nat.rem m2 key.p) in
+  let h = Nat.rem (Nat.mul key.qinv diff) key.p in
+  let s = Nat.add m2 (Nat.mul h key.q) in
   Nat.to_bytes_be_padded s len
 
 (* Global count of RSA verifications actually performed — the ground truth
-   the multi-vantage benchmark audits cache-on and cache-off runs against. *)
-let verifications = ref 0
+   the multi-vantage benchmark audits cache-on and cache-off runs against.
+   Atomic, so verifying from several Domains never loses a count. *)
+let verifications = Atomic.make 0
 
-let verification_count () = !verifications
+let verification_count () = Atomic.get verifications
 
 let verify ~key ~signature msg =
-  incr verifications;
+  Atomic.incr verifications;
   let len = modulus_bytes key in
   if String.length signature <> len then false
   else begin

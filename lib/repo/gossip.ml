@@ -11,9 +11,11 @@
    Two layers keep a round cheap at scale:
    - the Overlay selects O(n·k) edges instead of the full O(n²) mesh;
    - a per-round cache signs each served head once, verifies each distinct
-     (peer, head, signature) once, and builds each Merkle proof once per
+     (peer, head, signature) once, builds each Merkle proof once per
      (tree root, range) — honest vantages hold identical logs, so the
-     same proof serves every receiver of the same delta. *)
+     same proof serves every receiver of the same delta — and runs each
+     distinct Merkle check once, keyed on all of the pure check's inputs,
+     so every receiver's verdict is still exactly the check's result. *)
 
 module Rng = Rpki_util.Rng
 module Log = Rpki_transparency.Log
@@ -267,6 +269,8 @@ type round_report = {
   r_verifies_saved : int;
   r_proofs_built : int;
   r_proofs_reused : int;
+  r_checks : int;
+  r_checks_saved : int;
 }
 
 (* A Byzantine serving override: what vantage [name] answers with, per
@@ -274,7 +278,10 @@ type round_report = {
 type server = {
   srv_serve : receiver:string -> Relying_party.t;
   srv_refresh : (now:int -> unit) option;
+  srv_tamper : receiver:string -> index:int -> Merkle.proof -> Merkle.proof;
 }
+
+let untampered ~receiver:_ ~index:_ proof = proof
 
 type t = {
   vantages : vantage list;
@@ -319,10 +326,11 @@ let alarms t = List.rev t.alarm_log
 let forks t = List.filter is_fork (alarms t)
 let rollbacks t = List.filter is_rollback (alarms t)
 
-let set_server t ~name ?refresh serve =
+let set_server t ~name ?refresh ?(tamper = untampered) serve =
   if not (List.exists (fun v -> String.equal v.v_name name) t.vantages) then
     invalid_arg ("Gossip.set_server: unknown vantage " ^ name);
-  Hashtbl.replace t.servers name { srv_serve = serve; srv_refresh = refresh }
+  Hashtbl.replace t.servers name
+    { srv_serve = serve; srv_refresh = refresh; srv_tamper = tamper }
 
 let clear_server t ~name = Hashtbl.remove t.servers name
 
@@ -367,25 +375,39 @@ let fork_key uri serial a b =
 (* Per-round work sharing.  The STH memo is keyed on the RP *instance*
    (physical equality) — an equivocator serves different instances under
    one name, and each must sign its own head.  The verify memo is keyed on
-   the full (peer, head bytes, signature) triple, so two different heads
+   the full (peer, head, signature) triple, so two different heads
    served under one name each get their own verification.  Proofs are
    keyed on the committing root + range: a Merkle root pins the tree
-   content, so identical logs (every honest vantage) share proofs. *)
+   content, so identical logs (every honest vantage) share proofs.  The
+   check memo is keyed on every input of the pure Merkle check, compared
+   structurally, so a tampered proof or record is a different key and is
+   verified afresh. *)
+type check =
+  | Inclusion of string * int * int * Log.observation * Merkle.proof
+      (* head root, head size, leaf index, the record (every field the
+         leaf encodes), proof *)
+  | Consistency of (string * int * string) * (string * int * string) * Merkle.proof
+      (* (log id, size, root) of the old and of the new head, proof *)
+
 type round_ctx = {
   rc_sths : (Relying_party.t * Log.signed_head) list ref;
-  rc_heads : (string, bool) Hashtbl.t;
-  rc_proofs : (string, Merkle.proof) Hashtbl.t;
+  rc_heads : (string * Log.head * string, bool) Hashtbl.t;
+  rc_proofs : (char * string * int * int, Merkle.proof) Hashtbl.t;
+  rc_checks : (check, bool) Hashtbl.t;
   mutable rc_sths_signed : int;
   mutable rc_verifies : int;
   mutable rc_verifies_saved : int;
   mutable rc_proofs_built : int;
   mutable rc_proofs_reused : int;
+  mutable rc_checks_run : int;
+  mutable rc_checks_saved : int;
 }
 
 let new_round_ctx () =
   { rc_sths = ref []; rc_heads = Hashtbl.create 64; rc_proofs = Hashtbl.create 256;
-    rc_sths_signed = 0; rc_verifies = 0; rc_verifies_saved = 0;
-    rc_proofs_built = 0; rc_proofs_reused = 0 }
+    rc_checks = Hashtbl.create 256; rc_sths_signed = 0; rc_verifies = 0;
+    rc_verifies_saved = 0; rc_proofs_built = 0; rc_proofs_reused = 0;
+    rc_checks_run = 0; rc_checks_saved = 0 }
 
 let sth_once ctx ~now rp =
   match List.find_opt (fun (r, _) -> r == rp) !(ctx.rc_sths) with
@@ -397,9 +419,7 @@ let sth_once ctx ~now rp =
     sth
 
 let verify_head_once ctx ~peer ~key sth =
-  let memo =
-    String.concat "\x00" [ peer; Log.encode_head sth.Log.sh_head; sth.Log.sh_sig ]
-  in
+  let memo = (peer, sth.Log.sh_head, sth.Log.sh_sig) in
   match Hashtbl.find_opt ctx.rc_heads memo with
   | Some ok ->
     ctx.rc_verifies_saved <- ctx.rc_verifies_saved + 1;
@@ -411,7 +431,7 @@ let verify_head_once ctx ~peer ~key sth =
     ok
 
 let proof_once ctx ~kind ~root ~a ~b build =
-  let key = Printf.sprintf "%s\x00%s\x00%d\x00%d" kind root a b in
+  let key = (kind, root, a, b) in
   match Hashtbl.find_opt ctx.rc_proofs key with
   | Some p ->
     ctx.rc_proofs_reused <- ctx.rc_proofs_reused + 1;
@@ -422,19 +442,42 @@ let proof_once ctx ~kind ~root ~a ~b build =
     Hashtbl.replace ctx.rc_proofs key p;
     p
 
+let check_once ctx key check =
+  match Hashtbl.find_opt ctx.rc_checks key with
+  | Some ok ->
+    ctx.rc_checks_saved <- ctx.rc_checks_saved + 1;
+    ok
+  | None ->
+    let ok = check () in
+    ctx.rc_checks_run <- ctx.rc_checks_run + 1;
+    Hashtbl.replace ctx.rc_checks key ok;
+    ok
+
+let inclusion_checked ctx ob ~index ~(head : Log.head) proof =
+  check_once ctx
+    (Inclusion (head.Log.h_root, head.Log.h_size, index, ob, proof))
+    (fun () -> Log.verify_observation_inclusion ob ~index ~head proof)
+
+let consistency_checked ctx ~(old_head : Log.head) ~(new_head : Log.head) proof =
+  let head h = (h.Log.h_log_id, h.Log.h_size, h.Log.h_root) in
+  check_once ctx
+    (Consistency (head old_head, head new_head, proof))
+    (fun () -> Log.verify_head_consistency ~old_head ~new_head proof)
+
 let consistency_once ctx log ~root ~old_size ~size =
-  proof_once ctx ~kind:"c" ~root ~a:old_size ~b:size (fun () ->
+  proof_once ctx ~kind:'c' ~root ~a:old_size ~b:size (fun () ->
       Log.consistency_proof log ~old_size ~size)
 
 let inclusion_once ctx log ~root ~index ~size =
-  proof_once ctx ~kind:"i" ~root ~a:index ~b:size (fun () ->
+  proof_once ctx ~kind:'i' ~root ~a:index ~b:size (fun () ->
       Log.inclusion_proof log ~index ~size)
 
 (* One pull: [receiver] fetches [served]'s head + delta over [peer]'s
    endpoint and verifies it.  [served] is [peer.v_rp] unless a Byzantine
-   override chose a different log for this receiver.
+   override chose a different log for this receiver; [tamper] is the
+   override's rewrite of the inclusion proofs it sends.
    Returns (exchange, new alarms). *)
-let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served =
+let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served ~tamper =
   match Transport.probe receiver.v_transport ~point:peer.v_endpoint ~timeout:t.timeout with
   | `Stalled dt ->
     ({ ex_from = peer.v_name; ex_to = receiver.v_name; ex_outcome = `Stalled;
@@ -473,9 +516,11 @@ let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served =
       else
         List.map
           (fun (i, ob) ->
-            ( i, ob,
+            let proof =
               inclusion_once ctx peer_log ~root:new_head.Log.h_root ~index:i
-                ~size:new_head.Log.h_size ))
+                ~size:new_head.Log.h_size
+            in
+            (i, ob, tamper ~receiver:receiver.v_name ~index:i proof))
           (Log.since peer_log old_size)
     in
     let proof_bytes =
@@ -515,7 +560,7 @@ let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served =
       let consistent =
         match old_head with
         | None -> true
-        | Some oh -> Log.verify_head_consistency ~old_head:oh ~new_head consistency
+        | Some oh -> consistency_checked ctx ~old_head:oh ~new_head consistency
       in
       if not consistent then
         note
@@ -529,7 +574,7 @@ let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served =
         (* 3. each delta record must be in the tree the head commits to *)
         List.iter
           (fun (i, ob, proof) ->
-            if not (Log.verify_observation_inclusion ob ~index:i ~head:new_head proof) then
+            if not (inclusion_checked ctx ob ~index:i ~head:new_head proof) then
               note ~key:(Printf.sprintf "badincl:%s:%s:%d" receiver.v_name peer.v_name i)
                 (Bad_inclusion { bi_peer = peer.v_name; bi_seen_by = receiver.v_name; bi_index = i })
             else begin
@@ -615,12 +660,12 @@ let round ?(alive = fun _ -> true) t ~now =
       else begin
         incr pulls;
         let receiver = Hashtbl.find by_name rname and peer = Hashtbl.find by_name pname in
-        let served =
+        let served, tamper =
           match Hashtbl.find_opt t.servers pname with
-          | Some srv -> srv.srv_serve ~receiver:rname
-          | None -> peer.v_rp
+          | Some srv -> (srv.srv_serve ~receiver:rname, srv.srv_tamper)
+          | None -> (peer.v_rp, untampered)
         in
-        let ex, al = pull t ctx ~now ~receiver ~peer ~served in
+        let ex, al = pull t ctx ~now ~receiver ~peer ~served ~tamper in
         exchanges := ex :: !exchanges;
         alarms := !alarms @ al
       end)
@@ -637,7 +682,9 @@ let round ?(alive = fun _ -> true) t ~now =
     r_verifies = ctx.rc_verifies;
     r_verifies_saved = ctx.rc_verifies_saved;
     r_proofs_built = ctx.rc_proofs_built;
-    r_proofs_reused = ctx.rc_proofs_reused }
+    r_proofs_reused = ctx.rc_proofs_reused;
+    r_checks = ctx.rc_checks_run;
+    r_checks_saved = ctx.rc_checks_saved }
 
 let pp_report fmt r =
   let ok, failed =

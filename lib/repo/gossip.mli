@@ -44,8 +44,11 @@
     signature) triple is verified once per round, and Merkle proofs are
     built once per (tree root, range) and shared across receivers —
     honest vantages hold identical logs, so proof generation collapses to
-    one per distinct range instead of one per edge.  All of it is
-    observational: the alarms raised are exactly those of uncached pulls.
+    one per distinct range instead of one per edge.  Likewise each
+    distinct Merkle check (an inclusion or consistency verification, keyed
+    on every one of its inputs: heads, index, record bytes and proof
+    hashes) runs once per round.  All of it is observational: the alarms
+    raised are exactly those of uncached pulls.
 
     Detection under a partial mesh is a {e reachability} property: a
     receiver only cross-checks a peer's delta against its own log, so a
@@ -213,6 +216,8 @@ type round_report = {
   r_verifies_saved : int;    (** verifications answered by the round memo *)
   r_proofs_built : int;      (** Merkle proofs generated this round *)
   r_proofs_reused : int;     (** proofs served from the round cache *)
+  r_checks : int;            (** Merkle inclusion/consistency checks run *)
+  r_checks_saved : int;      (** checks answered by the round memo *)
 }
 
 type t
@@ -238,14 +243,18 @@ val key_of : t -> string -> Rsa.public option
 
 val set_server :
   t -> name:string -> ?refresh:(now:Rtime.t -> unit) ->
+  ?tamper:(receiver:string -> index:int -> Merkle.proof -> Merkle.proof) ->
   (receiver:string -> Relying_party.t) -> unit
 (** Make vantage [name] Byzantine: what it serves to [receiver] is whatever
     relying party the callback returns — its own for some receivers, a
     same-named shadow for others, i.e. gossip-level equivocation.  The
     optional [refresh] runs at the start of every round [name] is alive in
-    (sync the shadow's view before serving it).  While overridden, [name]
-    stops pulling — a traitor would not report what it finds.  Raises
-    [Invalid_argument] for an unknown vantage. *)
+    (sync the shadow's view before serving it).  The optional [tamper]
+    rewrites the inclusion proof sent to [receiver] for record [index] —
+    a malformed message, which the receiver must answer with
+    {!alarm.Bad_inclusion}.  While overridden, [name] stops pulling — a
+    traitor would not report what it finds.  Raises [Invalid_argument] for
+    an unknown vantage. *)
 
 val clear_server : t -> name:string -> unit
 (** Return vantage [name] to honest serving (and pulling). *)

@@ -11,9 +11,11 @@
     and the split point of a tree of size n is the largest power of two
     strictly below n.  The empty tree hashes to [H("")].
 
-    Proof {e generation} walks the leaf array (O(n) time — fine at
-    simulation scale); proof {e size} is what the experiments report, and
-    that is O(log n) by construction. *)
+    The tree caches every completed perfect subtree hash as leaves arrive,
+    so {!root}, {!root_at} and proof {e generation} are O(log n) — lookups
+    plus a few hashes along the ragged right edge.  Proof {e size} is what
+    the experiments report, and that is O(log n) by construction.  Only
+    hashes are kept; the raw leaf bytes are the caller's to store. *)
 
 type t
 (** A mutable append-only tree. *)
@@ -21,12 +23,10 @@ type t
 val create : unit -> t
 
 val add : t -> string -> int
-(** Append a leaf (raw bytes); returns its index. *)
+(** Append a leaf (raw bytes); returns its index.  Amortised one leaf hash
+    plus one interior-node hash. *)
 
 val size : t -> int
-
-val leaf : t -> int -> string
-(** The leaf data at an index.  Raises [Invalid_argument] out of range. *)
 
 val leaf_hash : string -> string
 (** [H(0x00 || leaf)]. *)

@@ -139,6 +139,35 @@ let prop_rsa_roundtrip =
          let kp = Lazy.force keypair in
          Rsa.verify ~key:kp.Rsa.public ~signature:(Rsa.sign ~key:kp.Rsa.private_ msg) msg))
 
+(* CRT signing against the textbook definition: the signature is
+   em^d mod n for the PKCS#1 v1.5 encoding em, built here independently of
+   the library.  Four seeded keys, including odd widths where p and q
+   differ in size. *)
+let crt_keys =
+  Array.map
+    (fun (bits, seed) -> lazy (Rsa.generate ~bits (Drbg.to_rng (Drbg.create ~seed))))
+    [| (512, "crt-a"); (512, "crt-b"); (521, "crt-c"); (Rsa.min_bits, "crt-d") |]
+
+let textbook_sign (key : Rsa.private_) msg =
+  let module Nat = Rpki_bignum.Nat in
+  let len = Rsa.modulus_bytes key.Rsa.pub in
+  let t =
+    "\x30\x31\x30\x0d\x06\x09\x60\x86\x48\x01\x65\x03\x04\x02\x01\x05\x00\x04\x20"
+    ^ Sha256.digest msg
+  in
+  let em = "\x00\x01" ^ String.make (len - String.length t - 3) '\xff' ^ "\x00" ^ t in
+  Nat.to_bytes_be_padded
+    (Nat.pow_mod ~base:(Nat.of_bytes_be em) ~exp:key.Rsa.d ~modulus:key.Rsa.pub.Rsa.n)
+    len
+
+let prop_rsa_crt_equals_textbook =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40 ~name:"CRT sign = em^d mod n"
+       QCheck.(pair small_nat (string_of_size (Gen.int_bound 300)))
+       (fun (k, msg) ->
+         let kp = Lazy.force crt_keys.(k mod Array.length crt_keys) in
+         String.equal (Rsa.sign ~key:kp.Rsa.private_ msg) (textbook_sign kp.Rsa.private_ msg)))
+
 let () =
   Alcotest.run "crypto"
     [ ( "sha256",
@@ -159,4 +188,5 @@ let () =
           Alcotest.test_case "wrong key" `Quick test_rsa_wrong_key;
           Alcotest.test_case "deterministic keygen" `Quick test_rsa_deterministic_keygen;
           Alcotest.test_case "minimum modulus" `Quick test_rsa_min_bits;
-          prop_rsa_roundtrip ] ) ]
+          prop_rsa_roundtrip;
+          prop_rsa_crt_equals_textbook ] ) ]

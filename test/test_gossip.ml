@@ -105,6 +105,102 @@ let test_pulls_skipped () =
   Alcotest.(check int) "the rest ran" ((4 * 2) - 2) rep.Gossip.r_pulls;
   Gossip.clear_server g ~name:quiet
 
+(* --- the round-level Merkle-check memo --- *)
+
+module Log = Rpki_transparency.Log
+
+(* A 16-vantage honest full mesh with ARIN re-signed every tick: every
+   round's checks are bounded by the distinct statements on the wire —
+   (root, size, index) records plus (old head, new head) consistency
+   ranges — and the memo answers every other pull's check. *)
+let test_check_memo_bound () =
+  let sv = Loop.split_view_scenario ~monitors:15 ~gossip_period:99 ~refresh_interval:1 () in
+  let t = sv.Loop.sv_sim in
+  let g = Option.get (Loop.gossip_mesh t) in
+  let vs = Gossip.vantages g in
+  let n = List.length vs in
+  Alcotest.(check int) "16 vantages" 16 n;
+  for now = 1 to 4 do
+    Authority.maintain sv.Loop.sv_model.Model.arin ~now;
+    ignore (Loop.step t ~now);
+    let records = Hashtbl.create 256 and ranges = Hashtbl.create 16 in
+    let uncached = ref 0 in
+    List.iter
+      (fun (r : Gossip.vantage) ->
+        List.iter
+          (fun (p : Gossip.vantage) ->
+            if r != p then begin
+              let head = Log.head (Relying_party.transparency_log p.Gossip.v_rp) ~at:now in
+              let old = List.assoc_opt p.Gossip.v_name (Relying_party.peer_heads r.Gossip.v_rp) in
+              let old_size = match old with Some h -> h.Log.h_size | None -> 0 in
+              for i = old_size to head.Log.h_size - 1 do
+                Hashtbl.replace records (head.Log.h_root, head.Log.h_size, i) ();
+                incr uncached
+              done;
+              Option.iter
+                (fun (oh : Log.head) ->
+                  Hashtbl.replace ranges
+                    (oh.Log.h_log_id, oh.Log.h_size, oh.Log.h_root, head.Log.h_log_id,
+                     head.Log.h_size, head.Log.h_root)
+                    ();
+                  incr uncached)
+                old
+            end)
+          vs)
+      vs;
+    let rep = Gossip.round g ~now in
+    let bound = Hashtbl.length records + Hashtbl.length ranges in
+    Alcotest.(check int) (Printf.sprintf "t%d: n(n-1) pulls" now) (n * (n - 1)) rep.Gossip.r_pulls;
+    Alcotest.(check bool)
+      (Printf.sprintf "t%d: %d checks <= %d distinct statements" now rep.Gossip.r_checks bound)
+      true
+      (rep.Gossip.r_checks <= bound);
+    Alcotest.(check int)
+      (Printf.sprintf "t%d: run + memoised = one per record and range pulled" now)
+      !uncached
+      (rep.Gossip.r_checks + rep.Gossip.r_checks_saved);
+    Alcotest.(check bool) (Printf.sprintf "t%d: the log grew" now) true (!uncached > 0);
+    Alcotest.(check (list string)) (Printf.sprintf "t%d: no alarms" now) []
+      (List.map Gossip.describe_alarm rep.Gossip.r_alarms)
+  done
+
+(* Two Byzantine servers serve the same log (one head root) in the same
+   round; one of them tampers with the inclusion proofs it sends to one
+   receiver.  Only that pull fails: the memo keys on the proof hashes, so
+   neither verdict leaks into the other. *)
+let test_check_memo_tampered_proof () =
+  let sv = Loop.split_view_scenario ~monitors:3 ~gossip_period:99 () in
+  let t = sv.Loop.sv_sim in
+  let g = Option.get (Loop.gossip_mesh t) in
+  ignore (Loop.step t ~now:1);
+  let a, b, x =
+    match sv.Loop.sv_monitors with [ a; b; x ] -> (a, b, x) | _ -> assert false
+  in
+  let shared = (Loop.vantage t ~name:a).Gossip.v_rp in
+  let flip h = String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c) h in
+  let tamper ~receiver ~index:_ proof =
+    if not (String.equal receiver x) then proof
+    else match proof with h :: tl -> flip h :: tl | [] -> [ String.make 32 '\x00' ]
+  in
+  Gossip.set_server g ~name:a ~tamper (fun ~receiver:_ -> shared);
+  Gossip.set_server g ~name:b (fun ~receiver:_ -> shared);
+  let rep = Gossip.round g ~now:1 in
+  let bad =
+    List.filter_map
+      (function
+        | Gossip.Bad_inclusion { bi_peer; bi_seen_by; _ } -> Some (bi_peer, bi_seen_by)
+        | _ -> None)
+      rep.Gossip.r_alarms
+  in
+  let records = Log.size (Relying_party.transparency_log shared) in
+  Alcotest.(check bool) "the served log is not empty" true (records > 0);
+  Alcotest.(check int) "one Bad_inclusion per record, all on the tampered pull" records
+    (List.length (List.filter (fun pr -> pr = (a, x)) bad));
+  Alcotest.(check int) "no other pull fails" records (List.length bad);
+  Alcotest.(check int) "no other alarm" records (List.length rep.Gossip.r_alarms);
+  Gossip.clear_server g ~name:a;
+  Gossip.clear_server g ~name:b
+
 (* --- observational equivalence: any connected overlay, same forks --- *)
 
 let fork_keys g =
@@ -195,7 +291,11 @@ let () =
       ( "caching",
         [ Alcotest.test_case "STH memo: n verifies for n(n-1) pulls" `Quick
             test_verify_count_drop;
-          Alcotest.test_case "r_pulls / r_skipped accounting" `Quick test_pulls_skipped ] );
+          Alcotest.test_case "r_pulls / r_skipped accounting" `Quick test_pulls_skipped;
+          Alcotest.test_case "Merkle checks <= distinct statements (16-vantage mesh)" `Quick
+            test_check_memo_bound;
+          Alcotest.test_case "tampered proof fails only its own pull" `Quick
+            test_check_memo_tampered_proof ] );
       ( "observational",
         [ prop 4 "k:2 raises the mesh's fork keys, evidence portable" prop_observational ] );
       ( "byzantine",

@@ -63,7 +63,7 @@ let prop_inclusion seed =
     (fun index ->
       let size = index + 1 + Rpki_util.Rng.int rng (n - index) in
       let proof = Merkle.inclusion_proof t ~index ~size in
-      Merkle.verify_inclusion ~leaf:(Merkle.leaf t index) ~index ~size
+      Merkle.verify_inclusion ~leaf:(List.nth leaves index) ~index ~size
         ~root:(Merkle.root_at t ~size) proof)
     (List.init n (fun i -> i))
 
@@ -86,7 +86,7 @@ let prop_inclusion_tamper_fails seed =
   let n = Merkle.size t in
   let rng = Rpki_util.Rng.create (seed * 11) in
   let index = Rpki_util.Rng.int rng n in
-  let leaf = Merkle.leaf t index in
+  let leaf = List.nth leaves index in
   let root = Merkle.root t in
   let proof = Merkle.inclusion_proof t ~index ~size:n in
   let ok tampered_leaf tampered_root tampered_proof =
@@ -126,6 +126,91 @@ let prop_consistency_tamper_fails seed =
   if not (Merkle.verify_consistency ~old_size ~old_root ~size:n ~root:(Merkle.root t) proof)
   then QCheck.Test.fail_reportf "honest consistency rejected (seed %d)" seed;
   true
+
+(* --- the subtree cache against a from-scratch reference --- *)
+
+(* RFC 6962's MTH, PATH and SUBPROOF written directly over the leaf
+   hashes, sharing nothing with the tree's cache.  [mth] is memoised on
+   (lo, n) only to keep the all-pairs comparison below affordable. *)
+let reference leaves =
+  let hs = Array.of_list (List.map Merkle.leaf_hash leaves) in
+  let memo = Hashtbl.create 1024 in
+  let split n =
+    let k = ref 1 in
+    while !k * 2 < n do
+      k := !k * 2
+    done;
+    !k
+  in
+  let node l r = Sha256.digest_list [ "\x01"; l; r ] in
+  let rec mth lo n =
+    if n = 0 then Sha256.digest ""
+    else if n = 1 then hs.(lo)
+    else
+      match Hashtbl.find_opt memo (lo, n) with
+      | Some h -> h
+      | None ->
+        let k = split n in
+        let h = node (mth lo k) (mth (lo + k) (n - k)) in
+        Hashtbl.replace memo (lo, n) h;
+        h
+  in
+  let rec path m lo n =
+    if n <= 1 then []
+    else
+      let k = split n in
+      if m < k then path m lo k @ [ mth (lo + k) (n - k) ]
+      else path (m - k) (lo + k) (n - k) @ [ mth lo k ]
+  in
+  let rec subproof m lo n flag =
+    if m = n then if flag then [] else [ mth lo n ]
+    else
+      let k = split n in
+      if m <= k then subproof m lo k flag @ [ mth (lo + k) (n - k) ]
+      else subproof (m - k) (lo + k) (n - k) false @ [ mth lo k ]
+  in
+  ( (fun size -> mth 0 size),
+    (fun ~index ~size -> path index 0 size),
+    fun ~old_size ~size -> if old_size = size then [] else subproof old_size 0 size true )
+
+(* The cached tree equals the reference: the root after every append, then
+   root_at at every size, inclusion_proof for every (index, size) and
+   consistency_proof for every (old, new).  Sizes up to 300 cross the 64,
+   128 and 256 level boundaries. *)
+let check_against_reference n seed =
+  let rng = Rpki_util.Rng.create seed in
+  let leaves = List.init n (fun i -> Printf.sprintf "l%d-%d" i (Rpki_util.Rng.int rng 1_000_000)) in
+  let ref_root, ref_incl, ref_cons = reference leaves in
+  let t = Merkle.create () in
+  List.iteri
+    (fun i l ->
+      ignore (Merkle.add t l);
+      if not (String.equal (Merkle.root t) (ref_root (i + 1))) then
+        QCheck.Test.fail_reportf "root after %d appends differs (seed %d)" (i + 1) seed)
+    leaves;
+  for size = 0 to n do
+    if not (String.equal (Merkle.root_at t ~size) (ref_root size)) then
+      QCheck.Test.fail_reportf "root_at %d of %d differs (seed %d)" size n seed
+  done;
+  for size = 1 to n do
+    for index = 0 to size - 1 do
+      if Merkle.inclusion_proof t ~index ~size <> ref_incl ~index ~size then
+        QCheck.Test.fail_reportf "inclusion_proof %d/%d of %d differs (seed %d)" index size n
+          seed
+    done;
+    for old_size = 1 to size do
+      if Merkle.consistency_proof t ~old_size ~size <> ref_cons ~old_size ~size then
+        QCheck.Test.fail_reportf "consistency_proof %d->%d of %d differs (seed %d)" old_size
+          size n seed
+    done
+  done;
+  true
+
+let prop_cache_equals_reference seed =
+  check_against_reference (1 + (seed mod 300)) seed
+
+let test_cache_equals_reference_300 () =
+  Alcotest.(check bool) "300 leaves" true (check_against_reference 300 7)
 
 (* --- Log layer --- *)
 
@@ -234,7 +319,10 @@ let () =
          prop 30 "inclusion proofs verify for arbitrary appends" prop_inclusion;
          prop 30 "consistency proofs verify for arbitrary heads" prop_consistency;
          prop 30 "any inclusion tamper fails" prop_inclusion_tamper_fails;
-         prop 30 "forked history fails consistency" prop_consistency_tamper_fails ]);
+         prop 30 "forked history fails consistency" prop_consistency_tamper_fails;
+         prop 12 "subtree cache = from-scratch reference" prop_cache_equals_reference;
+         Alcotest.test_case "subtree cache = reference at 300 leaves" `Quick
+           test_cache_equals_reference_300 ]);
       ("log",
        [ prop 50 "observation encoding round-trips" prop_observation_roundtrip;
          Alcotest.test_case "append dedups unchanged states" `Quick test_append_dedup;
