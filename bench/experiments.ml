@@ -661,10 +661,14 @@ let build_flat_universe ~n_points ~n_vrps =
   in
   (universe, ta, children)
 
+(* Wall-clock milliseconds from CLOCK_MONOTONIC ([Sys.time] is process CPU
+   time, which hides waiting and double-counts parallel Domains). *)
+let now_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1e6
+
 let time_ms f =
-  let t0 = Sys.time () in
+  let t0 = now_ms () in
   let r = f () in
-  (r, (Sys.time () -. t0) *. 1000.)
+  (r, now_ms () -. t0)
 
 let sync_incremental () =
   header "Incremental sync: cold full validation vs. warm tick (1 point touched)";
@@ -879,14 +883,9 @@ let transparency () =
   let run_cell ~monitors ~period ~stealth =
     let sv = Rpki_sim.Loop.split_view_scenario ~monitors ~grace ~gossip_period:period () in
     let sim = sv.Rpki_sim.Loop.sv_sim in
-    let atk =
-      Split_view.plan ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
-        ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ~stealth ()
-    in
-    for now = 1 to ticks do
-      if now = attack_at then Split_view.apply atk (Rpki_sim.Loop.transport sim);
-      ignore (Rpki_sim.Loop.step sim ~now)
-    done;
+    Rpki_sim.Timeline.Split_view.run ~stealth ~attack_at ~ticks
+      ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
+      ~target_filename:sv.Rpki_sim.Loop.sv_target_filename sim;
     let history = Rpki_sim.Loop.history sim in
     let fork_tick = Rpki_sim.Loop.first_fork_tick sim in
     let invalid_tick =
@@ -1295,14 +1294,9 @@ let multivantage () =
       Rpki_sim.Loop.split_view_scenario ~monitors:3 ~grace:4 ~gossip_period:1 ~valcache:cache ()
     in
     let sim = sv.Rpki_sim.Loop.sv_sim in
-    let atk =
-      Split_view.plan ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
-        ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ~stealth:Split_view.Stealthy ()
-    in
-    for now = 1 to detect_ticks do
-      if now = attack_at then Split_view.apply atk (Rpki_sim.Loop.transport sim);
-      ignore (Rpki_sim.Loop.step sim ~now)
-    done;
+    Rpki_sim.Timeline.Split_view.run ~attack_at ~ticks:detect_ticks
+      ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
+      ~target_filename:sv.Rpki_sim.Loop.sv_target_filename sim;
     let trace =
       List.map
         (fun (r : Rpki_sim.Loop.tick_record) ->
@@ -1603,14 +1597,9 @@ let soak_split_view_trace ~endurance =
   in
   let sim = sv.Rpki_sim.Loop.sv_sim in
   set_endurance sim ~on:endurance;
-  let atk =
-    Split_view.plan ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
-      ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ()
-  in
-  for now = 1 to 10 do
-    if now = 3 then Split_view.apply atk (Rpki_sim.Loop.transport sim);
-    ignore (Rpki_sim.Loop.step sim ~now)
-  done;
+  Rpki_sim.Timeline.Split_view.run ~attack_at:3 ~ticks:10
+    ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
+    ~target_filename:sv.Rpki_sim.Loop.sv_target_filename sim;
   detection_trace (Rpki_sim.Loop.history sim)
 
 let soak_restart_trace ~endurance =
@@ -1829,18 +1818,20 @@ let scale () =
     let world = rig.Rpki_sim.Loop.wr_world in
     let stats = As_graph.degree_stats (World.graph world) in
     let sim = rig.Rpki_sim.Loop.wr_sim in
-    let atk =
-      Split_view.plan ~authority:rig.Rpki_sim.Loop.wr_target_authority
-        ~target_filename:rig.Rpki_sim.Loop.wr_target_filename ()
+    (* a tick's time is the gap since the previous tick ended *)
+    let tick_ms = ref [] and recomputed = ref [] and last = ref (now_ms ()) in
+    let observe = function
+      | Rpki_sim.Timeline.Split_view.Forked _ -> ()
+      | Rpki_sim.Timeline.Split_view.Tick r ->
+        let t = now_ms () in
+        tick_ms := (t -. !last) :: !tick_ms;
+        last := t;
+        let net = Option.get sim.Rpki_sim.Loop.net in
+        recomputed := (r.Rpki_sim.Loop.time, net.Data_plane.recomputed) :: !recomputed
     in
-    let tick_ms = ref [] and recomputed = ref [] in
-    for now = 1 to ticks do
-      if now = attack_at then Split_view.apply atk (Rpki_sim.Loop.transport sim);
-      let _, ms = time_ms (fun () -> Rpki_sim.Loop.step sim ~now) in
-      tick_ms := ms :: !tick_ms;
-      let net = Option.get sim.Rpki_sim.Loop.net in
-      recomputed := (now, net.Data_plane.recomputed) :: !recomputed
-    done;
+    Rpki_sim.Timeline.Split_view.run ~observe ~attack_at ~ticks
+      ~authority:rig.Rpki_sim.Loop.wr_target_authority
+      ~target_filename:rig.Rpki_sim.Loop.wr_target_filename sim;
     let tick_ms = List.rev !tick_ms and recomputed = List.rev !recomputed in
     let avg_tick = List.fold_left ( +. ) 0. tick_ms /. float_of_int ticks in
     let max_tick = List.fold_left Float.max 0. tick_ms in
@@ -2235,17 +2226,19 @@ let gossip () =
      Round 1 pays the one-time lazy keygen for every vantage's log — the
      same n signatures under any overlay — so it is reported apart from the
      warm rounds the steady-state claim is about. *)
-  let run_cell ~n ~overlay sim atk =
+  let run_cell ~n ~overlay ~authority ~target_filename sim =
     let g = Option.get (Rpki_sim.Loop.gossip_mesh sim) in
     let reports = ref [] and cold = ref 0. and warm = ref 0. and fork = ref None in
-    for now = 1 to ticks do
-      if now = attack_at then Split_view.apply atk (Rpki_sim.Loop.transport sim);
-      ignore (Rpki_sim.Loop.step sim ~now);
-      let rep, ms = time_ms (fun () -> Gossip.round g ~now) in
-      if now = 1 then cold := ms else warm := !warm +. ms;
-      if !fork = None && List.exists Gossip.is_fork rep.Gossip.r_alarms then fork := Some now;
-      reports := rep :: !reports
-    done;
+    let observe = function
+      | Rpki_sim.Timeline.Split_view.Forked _ -> ()
+      | Rpki_sim.Timeline.Split_view.Tick r ->
+        let now = r.Rpki_sim.Loop.time in
+        let rep, ms = time_ms (fun () -> Gossip.round g ~now) in
+        if now = 1 then cold := ms else warm := !warm +. ms;
+        if !fork = None && List.exists Gossip.is_fork rep.Gossip.r_alarms then fork := Some now;
+        reports := rep :: !reports
+    in
+    Rpki_sim.Timeline.Split_view.run ~observe ~attack_at ~ticks ~authority ~target_filename sim;
     let sum f = List.fold_left (fun acc r -> acc + f r) 0 !reports in
     { gc_n = n; gc_overlay = overlay;
       gc_pulls = (match !reports with last :: _ -> last.Gossip.r_pulls | [] -> 0);
@@ -2261,9 +2254,8 @@ let gossip () =
       Rpki_sim.Loop.split_view_scenario ~monitors:(n - 1) ~gossip_period:(ticks + 1)
         ~overlay ()
     in
-    run_cell ~n ~overlay sv.Rpki_sim.Loop.sv_sim
-      (Split_view.plan ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
-         ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ~stealth:Split_view.Stealthy ())
+    run_cell ~n ~overlay ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
+      ~target_filename:sv.Rpki_sim.Loop.sv_target_filename sv.Rpki_sim.Loop.sv_sim
   in
   let grid =
     List.concat_map
@@ -2438,9 +2430,8 @@ let gossip () =
           let rig =
             Rpki_sim.Loop.world_scenario ~monitors ~gossip_period:(ticks + 1) ~overlay ()
           in
-          run_cell ~n:(monitors + 1) ~overlay rig.Rpki_sim.Loop.wr_sim
-            (Split_view.plan ~authority:rig.Rpki_sim.Loop.wr_target_authority
-               ~target_filename:rig.Rpki_sim.Loop.wr_target_filename ()))
+          run_cell ~n:(monitors + 1) ~overlay ~authority:rig.Rpki_sim.Loop.wr_target_authority
+            ~target_filename:rig.Rpki_sim.Loop.wr_target_filename rig.Rpki_sim.Loop.wr_sim)
         [ Gossip.Overlay.Full_mesh; Gossip.Overlay.K_regular 4 ]
     end
   in

@@ -259,7 +259,7 @@ let faultmix_cmd =
          & info [ "rate" ] ~doc:"Per-authority per-tick fault probability, in [0,1].")
   in
   let ticks =
-    Arg.(value & opt int 12 & info [ "ticks" ] ~doc:"Simulation length, in ticks.")
+    Arg.(value & opt (int_at_least 1) 12 & info [ "ticks" ] ~doc:"Simulation length, in ticks.")
   in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Sampler seed.") in
   let unsafe =
@@ -344,10 +344,10 @@ let transparency_cmd =
          & info [ "monitors" ] ~doc:"Monitor vantages besides the victim (0 = no gossip).")
   in
   let period =
-    Arg.(value & opt int 1 & info [ "period" ] ~doc:"Gossip period in ticks.")
+    Arg.(value & opt (int_at_least 1) 1 & info [ "period" ] ~doc:"Gossip period in ticks.")
   in
   let grace =
-    Arg.(value & opt int 4
+    Arg.(value & opt (int_at_least 0) 4
          & info [ "grace" ] ~doc:"Victim's Suspenders-style VRP hold, in ticks.")
   in
   let overt =
@@ -378,18 +378,14 @@ let transparency_cmd =
     let stealth =
       if overt then Rpki_attack.Split_view.Overt else Rpki_attack.Split_view.Stealthy
     in
-    let atk =
-      Rpki_attack.Split_view.plan ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
-        ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ~stealth ()
+    let module Sv = Rpki_sim.Timeline.Split_view in
+    let observe = function
+      | Sv.Forked (now, atk) -> Printf.printf "t%d: %s\n" now (Rpki_attack.Split_view.describe atk)
+      | Sv.Tick r -> Format.printf "%a@." Rpki_sim.Loop.pp_record r
     in
-    for now = 1 to 10 do
-      if now = 3 then begin
-        Printf.printf "t3: %s\n" (Rpki_attack.Split_view.describe atk);
-        Rpki_attack.Split_view.apply atk (Rpki_sim.Loop.transport t)
-      end;
-      let r = Rpki_sim.Loop.step t ~now in
-      Format.printf "%a@." Rpki_sim.Loop.pp_record r
-    done;
+    Sv.run ~observe ~stealth ~attack_at:3 ~ticks:10
+      ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
+      ~target_filename:sv.Rpki_sim.Loop.sv_target_filename t;
     let checks, saved =
       List.fold_left
         (fun (c, s) (r : Rpki_sim.Loop.tick_record) ->
@@ -433,23 +429,23 @@ let gossip_cmd =
              ~doc:"Total relying-party vantages (victim + N-1 monitors).")
   in
   let period =
-    Arg.(value & opt int 1 & info [ "period" ] ~doc:"Gossip period in ticks.")
+    Arg.(value & opt (int_at_least 1) 1 & info [ "period" ] ~doc:"Gossip period in ticks.")
   in
   let byzantine =
-    Arg.(value & opt int 0
+    Arg.(value & opt (int_at_least 0) 0
          & info [ "byzantine" ] ~docv:"F"
              ~doc:"F monitor vantages turn Byzantine: each serves the victim an \
                    equivocating shadow log signed with its real log key, and stays \
                    silent in gossip rounds.")
   in
   let ticks =
-    Arg.(value & opt int 8
+    Arg.(value & opt (int_at_least 1) 8
          & info [ "ticks" ]
              ~doc:"Ticks to run.  The split view runs from t1 — the victim's first \
                    sync — so its log is forked from birth and only an honest \
                    cross-check can catch it.")
   in
-  let run n period f ticks overlay =
+  let simulate n period f ticks overlay =
     let module Eq = Rpki_sim.Timeline.Equivocation in
     (* from the victim's first sync: a victim with honest pre-attack history
        self-detects any mirrored shadow (its first-seen record conflicts
@@ -487,10 +483,20 @@ let gossip_cmd =
       Printf.printf "fork NOT detected%s\n"
         (if out.Eq.honest_adjacent then "" else " — the victim's every neighbor is byzantine")
   in
+  (* only monitors can turn: the victim is never its own traitor *)
+  let run n period f ticks overlay =
+    if f >= n then
+      `Error
+        ( true,
+          Printf.sprintf
+            "option '--byzantine': invalid value '%d', expected an integer < --vantages (%d)"
+            f n )
+    else `Ok (simulate n period f ticks overlay)
+  in
   Cmd.v
     (Cmd.info "gossip"
        ~doc:"Partial-mesh gossip overlays and Byzantine equivocating vantages")
-    Term.(const run $ vantages $ period $ byzantine $ ticks $ overlay_arg)
+    Term.(ret (const run $ vantages $ period $ byzantine $ ticks $ overlay_arg))
 
 (* --- restart --- *)
 
@@ -776,7 +782,7 @@ let scale_cmd =
     Arg.(value & opt (int_at_least 1) 10 & info [ "ticks" ] ~doc:"Simulation length in ticks.")
   in
   let attack_at =
-    Arg.(value & opt int 3
+    Arg.(value & opt (int_at_least 0) 3
          & info [ "attack-at" ]
              ~doc:"Tick at which the split-view fork is applied (0 = no attack).")
   in
@@ -795,26 +801,25 @@ let scale_cmd =
       (Placement.policy_to_string placement)
       (String.concat ", " rig.Loop.wr_monitors);
     let sim = rig.Loop.wr_sim in
-    let atk =
-      Rpki_attack.Split_view.plan ~authority:rig.Loop.wr_target_authority
-        ~target_filename:rig.Loop.wr_target_filename ()
+    let module Sv = Rpki_sim.Timeline.Split_view in
+    let attacked = ref false in
+    let observe = function
+      | Sv.Forked (now, _) ->
+        attacked := true;
+        Printf.printf "t%d: forking the victim CA's view (split-view attack)\n" now
+      | Sv.Tick r ->
+        Printf.printf "t%-3d vrps %-5d probe %s%s\n" r.Loop.time r.Loop.vrp_count
+          (String.concat ","
+             (List.map (fun (n, ok) -> Printf.sprintf "%s:%b" n ok) r.Loop.probe_results))
+          (match r.Loop.gossip_report with
+          | Some rep when rep.Gossip.r_alarms <> [] ->
+            "  FORK: "
+            ^ String.concat "; " (List.map Gossip.describe_alarm rep.Gossip.r_alarms)
+          | _ -> "")
     in
-    for now = 1 to ticks do
-      if now = attack_at then begin
-        Printf.printf "t%d: forking the victim CA's view (split-view attack)\n" now;
-        Rpki_attack.Split_view.apply atk (Loop.transport sim)
-      end;
-      let r = Loop.step sim ~now in
-      Printf.printf "t%-3d vrps %-5d probe %s%s\n" now r.Loop.vrp_count
-        (String.concat ","
-           (List.map (fun (n, ok) -> Printf.sprintf "%s:%b" n ok) r.Loop.probe_results))
-        (match r.Loop.gossip_report with
-        | Some rep when rep.Gossip.r_alarms <> [] ->
-          "  FORK: "
-          ^ String.concat "; " (List.map Gossip.describe_alarm rep.Gossip.r_alarms)
-        | _ -> "")
-    done;
-    match (attack_at > 0 && attack_at <= ticks, Loop.first_fork_tick sim) with
+    Sv.run ~observe ~attack_at ~ticks ~authority:rig.Loop.wr_target_authority
+      ~target_filename:rig.Loop.wr_target_filename sim;
+    match (!attacked, Loop.first_fork_tick sim) with
     | false, _ -> ()
     | true, Some tk ->
       Printf.printf "\nfork detected at t%d (latency %d ticks after the attack)\n" tk

@@ -8,28 +8,6 @@
 
 open Rpki_ip
 
-type cell = {
-  prefix : V4.Prefix.t;
-  origin : int;
-  state : Origin_validation.state;
-}
-
-(* Walk the subtree of [root] down to [max_len], classifying each prefix for
-   [origin].  The walk prunes: once no VRP covers or lies below a node, all
-   deeper prefixes are Unknown, so subtrees without any covering/covered VRP
-   are summarised rather than enumerated. *)
-let classify_subtree idx ~root ~max_len ~origin =
-  let rec go prefix acc =
-    let state = Origin_validation.classify idx (Route.make prefix origin) in
-    let acc = { prefix; origin; state } :: acc in
-    if V4.Prefix.len prefix >= max_len then acc
-    else begin
-      let l, r = V4.Prefix.split prefix in
-      go r (go l acc)
-    end
-  in
-  List.rev (go root [])
-
 (* Address-space accounting per validity state at one prefix length.  The
    result counts how many length-[len] subprefixes of [root] are in each
    state for [origin]. *)

@@ -3,21 +3,6 @@
 
 open Rpki_ip
 
-type cell = {
-  prefix : V4.Prefix.t;
-  origin : int;
-  state : Origin_validation.state;
-}
-
-val classify_subtree :
-  Origin_validation.index ->
-  root:V4.Prefix.t ->
-  max_len:int ->
-  origin:int ->
-  cell list
-(** Every prefix in the subtree of [root] down to [max_len], classified for
-    [origin], in pre-order. *)
-
 type length_summary = { len : int; valid : int; invalid : int; unknown : int }
 
 val summarize_length :

@@ -194,7 +194,6 @@ module Make (A : Addr.S) = struct
     let overlaps a b = not (is_empty (inter a b))
     let mem_addr t a = List.exists (fun r -> Range.contains_addr r a) t
     let mem_prefix t p = subset (of_prefix p) t
-    let mem_range t r = subset (of_range r) t
 
     (* Number of distinct addresses, when it fits in an int (always for v4). *)
     let cardinal_opt (t : t) =

@@ -104,7 +104,6 @@ module Make (A : Addr.S) : sig
     val overlaps : t -> t -> bool
     val mem_addr : t -> addr -> bool
     val mem_prefix : t -> Prefix.t -> bool
-    val mem_range : t -> Range.t -> bool
 
     val cardinal_opt : t -> int option
     (** Number of addresses when it fits in an int (always for IPv4). *)

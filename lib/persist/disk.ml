@@ -103,7 +103,6 @@ let files t =
 let size t ~name =
   match Hashtbl.find_opt t.files name with None -> 0 | Some d -> String.length d
 
-let bytes_used t = Hashtbl.fold (fun _ d acc -> acc + String.length d) t.files 0
 let writes t = t.writes
 let renames t = t.renames
 let bytes_written t = t.bytes_written

@@ -35,7 +35,6 @@ val delete : t -> name:string -> unit
 val exists : t -> name:string -> bool
 val files : t -> string list
 val size : t -> name:string -> int
-val bytes_used : t -> int
 val writes : t -> int
 val renames : t -> int
 

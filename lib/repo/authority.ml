@@ -402,11 +402,6 @@ and reissue_child_cert t (child : t) ~now =
 
 let rec iter_descendants t ~f = List.iter (fun c -> f c; iter_descendants c ~f) t.children
 
-let descendants t =
-  let acc = ref [] in
-  iter_descendants t ~f:(fun c -> acc := c :: !acc);
-  List.rev !acc
-
 let rec find_descendant t ~name =
   if t.name = name then Some t
   else List.find_map (fun c -> find_descendant c ~name) t.children
@@ -433,12 +428,6 @@ let maintain t ~now =
   in
   upkeep t;
   iter_descendants t ~f:upkeep
-
-(* Every ROA currently published by [t] or any descendant, with its issuer. *)
-let all_roas t =
-  let acc = ref (List.map (fun (f, r) -> (t, f, r)) t.roas) in
-  iter_descendants t ~f:(fun c -> acc := !acc @ List.map (fun (f, r) -> (c, f, r)) c.roas);
-  !acc
 
 let pp fmt t =
   Format.fprintf fmt "%s [%s] (%d children, %d ROAs)" t.name

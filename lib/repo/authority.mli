@@ -187,10 +187,6 @@ val certify_key :
 (** {2 Traversal} *)
 
 val iter_descendants : t -> f:(t -> unit) -> unit
-val descendants : t -> t list
 val find_descendant : t -> name:string -> t option
-
-val all_roas : t -> (t * string * Roa.t) list
-(** Every ROA currently published by [t] or any descendant. *)
 
 val pp : Format.formatter -> t -> unit

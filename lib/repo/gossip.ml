@@ -334,11 +334,6 @@ let set_server t ~name ?refresh ?(tamper = untampered) serve =
 
 let clear_server t ~name = Hashtbl.remove t.servers name
 
-let server_names t =
-  List.filter_map
-    (fun v -> if Hashtbl.mem t.servers v.v_name then Some v.v_name else None)
-    t.vantages
-
 (* A vantage's gossip-receiver state (what it verified about its peers) is
    process state: it dies with the process.  [forget_receiver] models that;
    [reseed_receiver] rehydrates the consistency baselines from the heads the

@@ -259,9 +259,6 @@ val set_server :
 val clear_server : t -> name:string -> unit
 (** Return vantage [name] to honest serving (and pulling). *)
 
-val server_names : t -> string list
-(** The currently Byzantine vantages, in registration order. *)
-
 val round : ?alive:(string -> bool) -> t -> now:Rtime.t -> round_report
 (** Run one gossip round over the overlay's selected edges.  [alive]
     (default: everyone) filters participants — a killed vantage neither

@@ -281,8 +281,6 @@ let name t = t.name
 let asn t = t.asn
 let vrps t = t.effective_vrps
 let last_result t = t.last_result
-let cached_points t =
-  List.sort String.compare (Hashtbl.fold (fun uri _ acc -> uri :: acc) t.cache [])
 
 let transparency_log t = t.tlog
 let log_epoch t = t.log_epoch

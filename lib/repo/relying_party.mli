@@ -194,9 +194,6 @@ val vrps : t -> Vrp.t list
 val last_result : t -> sync_result option
 (** The most recent {!sync} result, if any. *)
 
-val cached_points : t -> string list
-(** URIs with a locally cached snapshot (stale-cache fallback material). *)
-
 val flush_cache : t -> unit
 (** Drop cached snapshots, RRDP client state, memoized validations and grace
     memory (the manual operator intervention the paper mentions for Side

@@ -97,8 +97,6 @@ type client = {
 let create_client ?session ?(serial = 0) ?(files = []) () =
   { c_session = session; c_serial = serial; c_files = files }
 
-let client_session client = client.c_session
-let client_serial client = client.c_serial
 
 exception Desync of string
 (** A withdraw whose hash does not match is a protocol violation. *)

@@ -40,9 +40,6 @@ val create_client :
 (** A fresh client knows nothing; the optional arguments seed a client at a
     chosen (session, serial, files) state, e.g. to simulate desync. *)
 
-val client_session : client -> string option
-val client_serial : client -> int
-
 exception Desync of string
 
 val apply_delta : client -> delta -> unit

@@ -21,8 +21,6 @@ open Rpki_core
 
 type session = {
   router : Session.router;
-  mutable tx : int;     (* query bytes sent to the server *)
-  mutable rx : int;     (* notify + response bytes received *)
   mutable resets : int; (* Cache Reset PDUs acted upon *)
   mutable live : bool;
 }
@@ -128,7 +126,7 @@ let restore t ~serial ~vrps =
 (* --- sessions --- *)
 
 let attach t =
-  let s = { router = Session.create_router (); tx = 0; rx = 0; resets = 0; live = true } in
+  let s = { router = Session.create_router (); resets = 0; live = true } in
   t.sessions <- s :: t.sessions;
   s
 
@@ -140,8 +138,6 @@ let session_count t = List.length t.sessions
 
 let session_serial s = Session.router_serial s.router
 let session_vrps s = Session.router_vrps s.router
-let session_tx_bytes s = s.tx
-let session_rx_bytes s = s.rx
 let session_resets (s : session) = s.resets
 
 let session_synced t s =
@@ -305,17 +301,14 @@ let flush ?(domains = 1) t =
       match t.snapshot with Some b -> b | None -> assert false
     in
     let serve_one acct s plan =
-      if notifying then s.rx <- s.rx + notify_len;
       match plan with
       | Skip -> acct.a_skipped <- acct.a_skipped + 1
       | Delta base ->
         let query =
           Pdu.encode (Pdu.Serial_query { session_id = sid; serial = base })
         in
-        s.tx <- s.tx + String.length query;
         acct.a_received <- acct.a_received + String.length query;
         let resp = Hashtbl.find t.buffers base in
-        s.rx <- s.rx + String.length resp;
         acct.a_sent <- acct.a_sent + String.length resp;
         acct.a_replays <- acct.a_replays + 1;
         expect_synced (Session.apply_response s.router resp);
@@ -333,9 +326,7 @@ let flush ?(domains = 1) t =
                      Option.value ~default:sid (Session.router_session s.router);
                    serial = Session.router_serial s.router })
           in
-          s.tx <- s.tx + String.length query;
           acct.a_received <- acct.a_received + String.length query;
-          s.rx <- s.rx + String.length t.reset_bytes;
           acct.a_sent <- acct.a_sent + String.length t.reset_bytes;
           acct.a_replays <- acct.a_replays + 1;
           (match Session.apply_response s.router t.reset_bytes with
@@ -346,10 +337,8 @@ let flush ?(domains = 1) t =
         | _ -> ());
         Session.reset_router s.router;
         let query = Pdu.encode Pdu.Reset_query in
-        s.tx <- s.tx + String.length query;
         acct.a_received <- acct.a_received + String.length query;
         let resp = snapshot_of () in
-        s.rx <- s.rx + String.length resp;
         acct.a_sent <- acct.a_sent + String.length resp;
         acct.a_replays <- acct.a_replays + 1;
         expect_synced (Session.apply_response s.router resp);

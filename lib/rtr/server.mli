@@ -14,7 +14,7 @@
       {!flush} fans a single Serial Notify out to every session, rapid
       republishes between flushes coalescing into one batch;
     - tracks each session as nothing more than its embedded
-      {!Session.router} state machine plus tx/rx byte accounting; and
+      {!Session.router} state machine and its reset count; and
     - optionally spreads the per-session decode/apply fan-out across
       {e Domains} ([flush ~domains:n]) — sessions are independent once the
       shared buffers are pre-encoded, so the fan-out parallelises without
@@ -98,11 +98,6 @@ val session_synced : t -> session -> bool
 
 val session_vrps : session -> Vrp.t list
 
-val session_tx_bytes : session -> int
-(** Query bytes this session has sent. *)
-
-val session_rx_bytes : session -> int
-(** Notify + response bytes it has received. *)
 
 val session_resets : session -> int
 (** Cache Resets it has taken. *)

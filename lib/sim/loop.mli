@@ -315,12 +315,11 @@ val split_view_scenario :
     rigging; without it a restart through [sv_respawn] is the fresh-start
     oracle, and a served rollback goes undetected.
 
-    The split-view whack itself is the caller's move:
-    [Rpki_attack.Split_view.plan ~authority:sv_model.continental
-    ~target_filename:sv_target_filename ()] applied to
-    [transport sv_sim] forks only the victim's view.  Grace then holds the
-    suppressed VRP for [grace] ticks, which is the window gossip detection
-    must beat for the alarm to precede the route going invalid. *)
+    The split-view whack is {!Timeline.Split_view.run} with
+    [~authority:sv_model.continental ~target_filename:sv_target_filename]:
+    it forks only the victim's view ([transport sv_sim]).  Grace then holds
+    the suppressed VRP for [grace] ticks, which is the window gossip
+    detection must beat for the alarm to precede the route going invalid. *)
 
 (** {2 Scenarios on generated worlds}
 
@@ -334,11 +333,10 @@ type world_rig = {
   wr_sim : t;
   wr_world : Rpki_world.Synthesis.world;
   wr_target_filename : string;
-      (** the victim's ROA — apply
-          [Rpki_attack.Split_view.plan ~authority:wr_target_authority
-          ~target_filename:wr_target_filename ()] to [transport wr_sim] to
-          fork the victim's view, or corrupt/stall the same point for the
-          other scenario families *)
+      (** the victim's ROA — {!Timeline.Split_view.run}
+          [~authority:wr_target_authority ~target_filename:wr_target_filename]
+          forks the victim's view of it; the other scenario families
+          corrupt or stall the same point *)
   wr_target_authority : Rpki_repo.Authority.t;
   wr_monitors : string list;  (** registered monitor vantage names *)
   wr_respawn : (log_epoch:int -> Relying_party.t) option;

@@ -4,8 +4,21 @@
 open Rpki_core
 open Rpki_repo
 module Rollback = Rpki_attack.Rollback
-module Split_view = Rpki_attack.Split_view
 module Equivocator = Rpki_attack.Equivocator
+
+module Split_view = struct
+  type event = Forked of Rtime.t * Rpki_attack.Split_view.t | Tick of Loop.tick_record
+
+  let run ?(observe = ignore) ?stealth ~attack_at ~ticks ~authority ~target_filename sim =
+    let atk = Rpki_attack.Split_view.plan ~authority ~target_filename ?stealth () in
+    for now = 1 to ticks do
+      if now = attack_at then begin
+        Rpki_attack.Split_view.apply atk (Loop.transport sim);
+        observe (Forked (now, atk))
+      end;
+      observe (Tick (Loop.step sim ~now))
+    done
+end
 
 module Rollback_restart = struct
   let capture_at = 2
@@ -61,7 +74,7 @@ end
 module Equivocation = struct
   type event =
     | Armed of Equivocator.t list
-    | Forked of Rtime.t * Split_view.t
+    | Forked of Rtime.t * Rpki_attack.Split_view.t
     | Tick of Loop.tick_record
 
   type outcome = { equivocators : Equivocator.t list; honest_adjacent : bool }
@@ -78,10 +91,6 @@ module Equivocation = struct
       | None -> invalid_arg "Timeline.Equivocation.run: the rig has no gossip mesh"
     in
     let victim = Relying_party.name sim.Loop.rp in
-    let atk =
-      Split_view.plan ~authority:model.Model.continental
-        ~target_filename:sv.Loop.sv_target_filename ~stealth:Split_view.Stealthy ()
-    in
     let eqs =
       List.map
         (fun name ->
@@ -96,16 +105,16 @@ module Equivocation = struct
         byzantine
     in
     observe (Armed eqs);
-    for now = 1 to ticks do
-      if now = attack_at then begin
-        (* the victim's view forks — and every shadow forks with it, so the
-           logs served to the victim keep mirroring what the victim sees *)
-        Split_view.apply atk (Loop.transport sim);
-        List.iter (fun eq -> Split_view.apply atk (Equivocator.shadow_transport eq)) eqs;
+    let relay = function
+      | Split_view.Forked (now, atk) ->
+        (* every shadow forks with the victim, so the logs served to the
+           victim keep mirroring what the victim sees *)
+        List.iter (fun eq -> Rpki_attack.Split_view.apply atk (Equivocator.shadow_transport eq)) eqs;
         observe (Forked (now, atk))
-      end;
-      observe (Tick (Loop.step sim ~now))
-    done;
+      | Split_view.Tick r -> observe (Tick r)
+    in
+    Split_view.run ~observe:relay ~attack_at ~ticks ~authority:model.Model.continental
+      ~target_filename:sv.Loop.sv_target_filename sim;
     let names = List.map (fun (v : Gossip.vantage) -> v.Gossip.v_name) (Gossip.vantages g) in
     let honest x = not (String.equal x victim || List.mem x byzantine) in
     let honest_edge (a, b) =

@@ -3,13 +3,40 @@
     Each timeline takes a rig the caller has already built — persistence,
     monitors, shared validation plane and endurance knobs stay the
     caller's choice — plus only the parameters experiments actually vary,
-    drives the tick-by-tick schedule, and returns a typed outcome.  The
-    optional [observe] callback sees every scheduled move and every tick
-    record as it happens (the CLI prints them; benches and tests usually
-    ignore them and read the loop's history afterwards). *)
+    drives the tick-by-tick schedule, and returns a typed outcome where
+    the schedule has one.  The optional [observe] callback sees every
+    scheduled move and every tick record as it happens (the CLI prints
+    them, some benches time or extend each tick with them; most callers
+    read the loop's history afterwards). *)
 
 open Rpki_core
 open Rpki_repo
+
+(** The paper's mirror world: [authority] serves the victim a split view
+    of its publication point without [target_filename]
+    ({!Rpki_attack.Split_view}), forked at [attack_at] on the victim's
+    transport while every monitor keeps seeing the honest contents. *)
+module Split_view : sig
+  type event =
+    | Forked of Rtime.t * Rpki_attack.Split_view.t
+        (** the victim's view forked (before the step) *)
+    | Tick of Loop.tick_record
+
+  val run :
+    ?observe:(event -> unit) ->
+    ?stealth:Rpki_attack.Split_view.stealth ->
+    attack_at:int ->
+    ticks:int ->
+    authority:Authority.t ->
+    target_filename:string ->
+    Loop.t ->
+    unit
+  (** Run ticks [1..ticks] ([stealth] defaults to [Stealthy]).  The fork
+      is applied only when [1 <= attack_at <= ticks]; any other
+      [attack_at] runs the same ticks with no attack.  Raises
+      [Invalid_argument] if [authority] does not publish
+      [target_filename]. *)
+end
 
 (** Crash, restart and rollback: the adversary captures Continental's
     honest publication-point state at {!capture_at}, the authority revokes
@@ -49,9 +76,9 @@ module Rollback_restart : sig
 end
 
 (** Byzantine equivocation: the named monitors each serve the victim a
-    shadow log ({!Rpki_attack.Equivocator}) that mirrors a stealthy split
-    view of Continental's point, forked at [attack_at] on the victim's
-    transport and on every shadow's. *)
+    shadow log ({!Rpki_attack.Equivocator}) that mirrors a stealthy
+    {!Split_view} of Continental's point, forked at [attack_at] on the
+    victim's transport and on every shadow's. *)
 module Equivocation : sig
   type event =
     | Armed of Rpki_attack.Equivocator.t list

@@ -30,3 +30,9 @@ run transparency --monitors 726
 run gossip --vantages 727
 run restart --vantages 727
 run scale --ases 200 --monitors 200
+run gossip --byzantine 99 --vantages 4
+run gossip --period=-2
+run transparency --period 0
+run transparency --grace=-3
+run faultmix --ticks=-2
+run scale --attack-at=-4

@@ -214,14 +214,8 @@ let fork_keys g =
 let run_split ~overlay ~overlay_seed =
   let sv = Loop.split_view_scenario ~monitors:5 ~gossip_period:1 ~overlay ~overlay_seed () in
   let t = sv.Loop.sv_sim in
-  let atk =
-    Rpki_attack.Split_view.plan ~authority:sv.Loop.sv_model.Model.continental
-      ~target_filename:sv.Loop.sv_target_filename ~stealth:Rpki_attack.Split_view.Stealthy ()
-  in
-  for now = 1 to 6 do
-    if now = 3 then Rpki_attack.Split_view.apply atk (Loop.transport t);
-    ignore (Loop.step t ~now)
-  done;
+  Timeline.Split_view.run ~attack_at:3 ~ticks:6 ~authority:sv.Loop.sv_model.Model.continental
+    ~target_filename:sv.Loop.sv_target_filename t;
   Option.get (Loop.gossip_mesh t)
 
 let prop_observational seed =

@@ -129,14 +129,8 @@ let split_view_history ~on =
   let sv = Loop.split_view_scenario ~persist:true ~grace:4 ~monitors:2 ~gossip_period:1 () in
   let sim = sv.Loop.sv_sim in
   set_endurance sim ~on;
-  let atk =
-    Rpki_attack.Split_view.plan ~authority:sv.Loop.sv_model.Model.continental
-      ~target_filename:sv.Loop.sv_target_filename ()
-  in
-  for now = 1 to 10 do
-    if now = 3 then Rpki_attack.Split_view.apply atk (Loop.transport sim);
-    ignore (Loop.step sim ~now)
-  done;
+  Rpki_sim.Timeline.Split_view.run ~attack_at:3 ~ticks:10
+    ~authority:sv.Loop.sv_model.Model.continental ~target_filename:sv.Loop.sv_target_filename sim;
   Loop.history sim
 
 let restart_history ~on =

@@ -26,16 +26,8 @@ let probe_up r label =
 let run_with_attack ~monitors ~grace ~gossip_period ~ticks =
   let sv = Loop.split_view_scenario ~monitors ~grace ~gossip_period () in
   let t = sv.Loop.sv_sim in
-  ignore (Loop.step t ~now:1);
-  ignore (Loop.step t ~now:2);
-  let atk =
-    Split_view.plan ~authority:sv.Loop.sv_model.Model.continental
-      ~target_filename:sv.Loop.sv_target_filename ()
-  in
-  Split_view.apply atk (Loop.transport t);
-  for now = 3 to ticks do
-    ignore (Loop.step t ~now)
-  done;
+  Timeline.Split_view.run ~attack_at:3 ~ticks ~authority:sv.Loop.sv_model.Model.continental
+    ~target_filename:sv.Loop.sv_target_filename t;
   (sv, t)
 
 (* With >= 2 gossiping vantages: fork alarm, verifiable, strictly inside the
@@ -350,28 +342,58 @@ let recomputed_per_tick ~monitors =
          Origin_validation.classify idx (Route.make a.Propagation.prefix a.Propagation.origin)))
       t.Loop.announcements
   in
-  let atk =
-    Split_view.plan ~authority:sv.Loop.sv_model.Model.continental
-      ~target_filename:sv.Loop.sv_target_filename ()
-  in
   let before = ref [] and counts = ref [] in
-  for now = 1 to 10 do
-    if now = 3 then Split_view.apply atk (Loop.transport t);
-    ignore (Loop.step t ~now);
-    let after = classes () in
-    let changed =
-      if now = 1 then List.map fst after
-      else
-        List.filter_map
-          (fun ((p, s), (_, s')) -> if s = s' then None else Some p)
-          (List.combine !before after)
-    in
-    before := after;
-    let net = Option.get t.Loop.net in
-    counts :=
-      (now, net.Data_plane.recomputed, List.length (List.sort_uniq compare changed)) :: !counts
-  done;
+  let observe = function
+    | Timeline.Split_view.Forked _ -> ()
+    | Timeline.Split_view.Tick r ->
+      let now = r.Loop.time in
+      let after = classes () in
+      let changed =
+        if now = 1 then List.map fst after
+        else
+          List.filter_map
+            (fun ((p, s), (_, s')) -> if s = s' then None else Some p)
+            (List.combine !before after)
+      in
+      before := after;
+      let net = Option.get t.Loop.net in
+      counts :=
+        (now, net.Data_plane.recomputed, List.length (List.sort_uniq compare changed))
+        :: !counts
+  in
+  Timeline.Split_view.run ~observe ~attack_at:3 ~ticks:10
+    ~authority:sv.Loop.sv_model.Model.continental ~target_filename:sv.Loop.sv_target_filename t;
   List.rev !counts
+
+(* The no-attack path: an [attack_at] outside [1..ticks] (0 is the CLI's
+   "no attack") runs exactly the plain ticks — same history as stepping
+   the same rig by hand, and no fork. *)
+let test_attack_outside_run_is_no_attack () =
+  let ticks = 6 in
+  let rig () = Loop.split_view_scenario ~monitors:2 ~grace:4 ~gossip_period:1 () in
+  let plain =
+    let t = (rig ()).Loop.sv_sim in
+    for now = 1 to ticks do
+      ignore (Loop.step t ~now)
+    done;
+    Loop.history t
+  in
+  List.iter
+    (fun attack_at ->
+      let sv = rig () in
+      let t = sv.Loop.sv_sim in
+      let forked = ref false in
+      let observe = function Timeline.Split_view.Forked _ -> forked := true | Tick _ -> () in
+      Timeline.Split_view.run ~observe ~attack_at ~ticks
+        ~authority:sv.Loop.sv_model.Model.continental
+        ~target_filename:sv.Loop.sv_target_filename t;
+      Alcotest.(check bool) (Printf.sprintf "attack_at %d: no Forked event" attack_at) false
+        !forked;
+      Alcotest.(check bool)
+        (Printf.sprintf "attack_at %d: history = plain steps" attack_at)
+        true
+        (Loop.history t = plain))
+    [ 0; ticks + 1 ]
 
 let test_recomputed_counts () =
   let check ~monitors ~expect_change_at =
@@ -407,7 +429,9 @@ let () =
          Alcotest.test_case "a late-proven fork rolls last-good back to honest state"
            `Quick test_late_fork_rolls_back_last_good;
          Alcotest.test_case "the data plane recomputes only changed prefixes" `Quick
-           test_recomputed_counts ]);
+           test_recomputed_counts;
+         Alcotest.test_case "an attack tick outside the run is no attack" `Quick
+           test_attack_outside_run_is_no_attack ]);
       ("equivocation",
        [ Alcotest.test_case "a same-size different-root head raises Inconsistent_heads"
            `Quick test_equivocating_head_raises_inconsistent_heads ]);

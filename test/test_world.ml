@@ -18,6 +18,7 @@ open Rpki_bgp
 module Synthesis = Rpki_world.Synthesis
 module Placement = Rpki_world.Placement
 module Loop = Rpki_sim.Loop
+module Timeline = Rpki_sim.Timeline
 
 let all_valid (_ : Route.t) = Origin_validation.Valid
 
@@ -238,19 +239,14 @@ let run_split_view ~monitors =
       ~world:small_world_spec ()
   in
   let t = rig.Loop.wr_sim in
-  ignore (Loop.step t ~now:1);
-  ignore (Loop.step t ~now:2);
-  let r2 = List.hd (Loop.history t |> List.rev) in
-  Alcotest.(check bool) "victim probe up before the attack" true
-    (List.assoc "victim-prefix" r2.Loop.probe_results);
-  let sv =
-    Rpki_attack.Split_view.plan ~authority:rig.Loop.wr_target_authority
-      ~target_filename:rig.Loop.wr_target_filename ()
+  let observe = function
+    | Timeline.Split_view.Tick r when r.Loop.time = 2 ->
+      Alcotest.(check bool) "victim probe up before the attack" true
+        (List.assoc "victim-prefix" r.Loop.probe_results)
+    | _ -> ()
   in
-  Rpki_attack.Split_view.apply sv (Loop.transport t);
-  for now = 3 to 10 do
-    ignore (Loop.step t ~now)
-  done;
+  Timeline.Split_view.run ~observe ~attack_at:3 ~ticks:10
+    ~authority:rig.Loop.wr_target_authority ~target_filename:rig.Loop.wr_target_filename t;
   (rig, Loop.first_fork_tick t)
 
 let test_split_view_detected_on_world () =
